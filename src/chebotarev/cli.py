@@ -145,9 +145,16 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+def _x_grid(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     field = QuadraticField(args.disc)
-    grid = [args.x] if args.x is not None else [float(v) for v in args.x_grid.split(",")]
+    grid = [args.x] if args.x is not None else args.x_grid
     limit = args.sieve_limit if args.sieve_limit is not None else sieve_limit()
     rows = equidist_report(field, grid, limit)
     columns = ["x", "psi_identity", "psi_nontrivial", "ec_identity",
@@ -248,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--disc", type=int, required=True, help="fundamental discriminant")
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--x", type=float)
-    group.add_argument("--x-grid", dest="x_grid", help="comma-separated x values")
+    group.add_argument("--x-grid", dest="x_grid", type=_x_grid, help="comma-separated x values")
     p_verify.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=None)
     p_verify.add_argument("--format", choices=FORMATS, default="markdown")
     p_verify.add_argument("--out", default=None)

@@ -13,18 +13,20 @@ excluded outright.  Equidistribution predicts psi_C(x) ~ x/2 for both
 classes; the normalized deviation E_C(x) = |psi_C(x) - x/2|/(x/2) is what
 the explicit bounds elsewhere in this package control.
 
-Primes come from a segmented sieve (segments of 10^7); log-sums use
-exactly rounded compensated summation in a fixed ascending order, so
-repeated runs are bit-identical.
+One ascending pass of a segmented sieve (segments of at most 10^7, also
+cut at each x) serves a whole grid, so a grid costs about what its top x
+costs and memory is O(segment + sqrt(x)).  Log sums run exactly on
+integers in units of 2^-53 and are rounded once per x.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,10 +51,15 @@ __all__ = [
 
 DEFAULT_SIEVE_LIMIT = 10**9
 _SEGMENT = 10**7
+_UNIT = 2**53  # log sums run on integers in units of 2^-53
 
 
 def sieve_limit() -> int:
-    return int(os.environ.get("CHEB_SIEVE_LIMIT", DEFAULT_SIEVE_LIMIT))
+    """CHEB_SIEVE_LIMIT, a positive integer, else DEFAULT_SIEVE_LIMIT."""
+    raw = os.environ.get("CHEB_SIEVE_LIMIT", str(DEFAULT_SIEVE_LIMIT)).strip()
+    if not raw.isdecimal() or int(raw) < 1:
+        raise DomainError(f"CHEB_SIEVE_LIMIT must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 class ConjugacyClass(enum.Enum):
@@ -202,90 +209,91 @@ class EquidistRow:
     unramified_total: float  # sum of log p over ALL unramified p^m <= x
 
 
+def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(hi, primes in (lo, hi]) over consecutive ranges covering
+    (1, stops[-1]] in ascending order, each at most _SEGMENT long and each
+    ending at every stop it reaches.  `stops` is ascending."""
+    root = math.isqrt(stops[-1])
+    small = [p for _, chunk in _segments([root]) for p in chunk.tolist()] if root > 1 else []
+    lo = 1
+    for stop in stops:
+        while lo < stop:
+            hi = min(lo + _SEGMENT, stop)
+            seg = np.ones(hi - lo, dtype=bool)  # seg[i] stands for lo + 1 + i
+            for p in small:
+                if p * p > hi:
+                    break
+                start = max(p * p, (lo // p + 1) * p)
+                if start > hi:  # a segment cut at a stop can be narrower than p
+                    continue
+                seg[start - lo - 1 :: p] = False
+            yield hi, (np.flatnonzero(seg) + (lo + 1)).astype(np.int64)
+            lo = hi
+
+
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n, ascending, via a segmented sieve of Eratosthenes."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    root = math.isqrt(n)
-    base = np.ones(root + 1, dtype=bool)
-    base[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if base[p]:
-            base[p * p :: p] = False
-    small = np.flatnonzero(base)
-    if n <= root:
-        return small[small <= n].astype(np.int64)
-
-    chunks = [small.astype(np.int64)]
-    lo = root + 1
-    while lo <= n:
-        hi = min(lo + _SEGMENT - 1, n)
-        seg = np.ones(hi - lo + 1, dtype=bool)
-        for p in small:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start > hi:
-                continue
-            seg[start - lo :: p] = False
-        chunks.append((np.flatnonzero(seg) + lo).astype(np.int64))
-        lo = hi + 1
-    return np.concatenate(chunks)
+    chunks = [primes for _, primes in _segments([n])] if n > 1 else []
+    return np.concatenate([np.empty(0, dtype=np.int64), *chunks])
 
 
-def _character_values(D: int, primes: np.ndarray) -> np.ndarray:
-    """(D/p) for an array of primes.  The symbol is a character mod |D|,
-    so for moderate |D| a lookup table beats per-prime evaluation."""
-    modulus = abs(D)
-    if modulus <= 10**6 and len(primes) > modulus:
-        table = np.array([kronecker_symbol(D, r) for r in range(modulus)], dtype=np.int8)
-        return table[primes % modulus]
-    return np.array([kronecker_symbol(D, int(p)) for p in primes], dtype=np.int8)
+def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, float, float]]:
+    """(psi_identity, psi_nontrivial, unramified_total) at each x of xs, in
+    the order given, from one ascending pass of the segmented sieve.
 
-
-def _check_limit(x: float, limit: int | None) -> int:
+    Every log p lies in [log 2, 32) and is a multiple of 2^-53, so the sums
+    run exactly on integers in units of 2^-53.  Each result is the exactly
+    rounded first-power sum plus the exactly rounded higher-power sum, bit
+    for bit what math.fsum gives for each.
+    """
+    for x in xs:
+        if not (math.isfinite(x) and x >= 1):
+            raise DomainError(f"x must be finite and >= 1, got {x}")
+    if not xs:
+        return []
     lim = sieve_limit() if limit is None else limit
-    if x > lim:
-        raise ResourceError(f"x = {x} exceeds the sieve limit {lim}")
-    return lim
+    if lim < 1:
+        raise DomainError(f"the sieve limit must be a positive integer, got {lim}")
+    if max(xs) > lim:
+        raise ResourceError(f"x = {max(xs)} exceeds the sieve limit {lim}")
+    stops = sorted({math.floor(x) for x in xs})
+    top = stops[-1]
+    modulus, table, seen = abs(D), None, 0
+    first, higher, powers, sums = [0, 0, 0], [0, 0, 0], [], {}
+    for hi, primes in _segments(stops):
+        # (D/p) is a character mod |D|: once the primes outnumber its
+        # residues, one table beats evaluating the symbol per prime
+        seen += len(primes)
+        if table is None and modulus <= 10**6 and seen > modulus:
+            table = np.array([kronecker_symbol(D, r) for r in range(modulus)], dtype=np.int8)
+        chi = table[primes % modulus] if table is not None else np.array(
+            [kronecker_symbol(D, int(p)) for p in primes], dtype=np.int8)
+        units = (np.log(primes.astype(np.float64)) * _UNIT).astype(np.int64)
+        # units < 2^58: summing the high and low 29 bits apart cannot overflow
+        for i, mask in enumerate((chi == 1, chi == -1, chi != 0)):
+            u = units[mask]
+            first[i] += (int((u >> 29).sum()) << 29) + int((u & ((1 << 29) - 1)).sum())
 
-
-@lru_cache(maxsize=8)
-def _prime_data(D: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    primes = primes_up_to(n)
-    chi = _character_values(D, primes)
-    return primes, chi, np.log(primes.astype(np.float64))
+        # higher powers p^m <= top need p <= sqrt(top): split p -> identity,
+        # inert p -> identity for even m and nontrivial for odd m
+        k = int(np.searchsorted(primes, math.isqrt(top), side="right"))
+        for p, c, u in zip(primes[:k].tolist(), chi[:k].tolist(), units[:k].tolist()):
+            pm, m = p * p, 2
+            while c and pm <= top:
+                heapq.heappush(powers, (pm, 0 if c == 1 or m % 2 == 0 else 1, u))
+                pm, m = pm * p, m + 1
+        while powers and powers[0][0] <= hi:
+            _, cls, u = heapq.heappop(powers)
+            higher[cls] += u
+            higher[2] += u
+        sums[hi] = tuple(a / _UNIT + b / _UNIT for a, b in zip(first, higher))
+    return [sums.get(math.floor(x), (0.0, 0.0, 0.0)) for x in xs]
 
 
 def psi_pair(field: QuadraticField, x: float, limit: int | None = None) -> tuple[float, float]:
-    """(psi_identity(x), psi_nontrivial(x)), exact up to compensated
-    floating-point summation of the logs."""
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    _check_limit(x, limit)
-    xi = math.floor(x)
-    primes, chi, logs = _prime_data(field.D, xi)
-
-    # first powers: split -> identity, inert -> nontrivial, ramified skipped
-    identity = math.fsum(logs[chi == 1])
-    nontrivial = math.fsum(logs[chi == -1])
-
-    # higher powers only exist for p <= sqrt(x)
-    id_extra: list[float] = []
-    non_extra: list[float] = []
-    for p, c, lg in zip(primes, chi, logs):
-        if p * p > xi:
-            break
-        if c == 0:
-            continue
-        pm = p * p
-        m = 2
-        while pm <= xi:
-            if c == 1 or m % 2 == 0:
-                id_extra.append(lg)
-            else:
-                non_extra.append(lg)
-            pm *= p
-            m += 1
-    return identity + math.fsum(id_extra), nontrivial + math.fsum(non_extra)
+    """(psi_identity(x), psi_nontrivial(x)), each the exactly rounded
+    first-power log sum plus the exactly rounded higher-power log sum."""
+    return _sweep(field.D, [x], limit)[0][:2]
 
 
 def psi_C_exact(
@@ -309,35 +317,10 @@ def equidist_report(
     psi_identity + psi_nontrivial = unramified_total is a nontrivial
     cross-check on every row.
     """
-    if not x_grid:
-        return []
-    top = max(x_grid)
-    _check_limit(top, limit)
-    rows = []
-    for x in x_grid:
-        ident, nontriv = psi_pair(field, x, limit)
-        xi = math.floor(x)
-        primes, chi, logs = _prime_data(field.D, xi)
-        extra: list[float] = []
-        for p, c, lg in zip(primes, chi, logs):
-            if p * p > xi:
-                break
-            if c == 0:
-                continue
-            pm = p * p
-            while pm <= xi:
-                extra.append(lg)
-                pm *= p
-        total = math.fsum(logs[chi != 0]) + math.fsum(extra)
-        half = x / 2.0
-        rows.append(
-            EquidistRow(
-                x=x,
-                psi_identity=ident,
-                psi_nontrivial=nontriv,
-                ec_identity=abs(ident - half) / half,
-                ec_nontrivial=abs(nontriv - half) / half,
-                unramified_total=total,
-            )
-        )
-    return rows
+    return [
+        EquidistRow(x=x, psi_identity=ident, psi_nontrivial=nontriv,
+                    ec_identity=abs(ident - x / 2.0) / (x / 2.0),
+                    ec_nontrivial=abs(nontriv - x / 2.0) / (x / 2.0),
+                    unramified_total=total)
+        for x, (ident, nontriv, total) in zip(x_grid, _sweep(field.D, x_grid, limit))
+    ]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from chebotarev import cli
 from chebotarev import reference_values as pv
 
@@ -150,6 +152,28 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--disc", "5", "--x", "1000")
         assert code == 2
         assert "sieve limit" in err
+        for bad in ("1e9", "-5"):
+            monkeypatch.setenv("CHEB_SIEVE_LIMIT", bad)
+            code, out, err = run(capsys, "verify", "--disc", "5", "--x", "20")
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: CHEB_SIEVE_LIMIT must be a positive integer")
+
+    @pytest.mark.parametrize("argv", [
+        ["--x", "nan"],
+        ["--x", "inf"],
+        ["--x", "0.5"],
+        ["--x-grid", "1e3,abc"],
+        ["--x-grid", ","],
+        ["--x-grid", "1e3,nan"],
+        ["--x", "20", "--sieve-limit", "-5"],
+    ])
+    def test_bad_input_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "--disc", "5", *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+        assert "Traceback" not in err
 
 
 class TestParamsCommand:

@@ -17,6 +17,7 @@ from chebotarev import (
     kronecker,
     psi_C_exact,
 )
+from chebotarev import verifier
 from chebotarev.verifier import is_prime, kronecker_symbol, primes_up_to, psi_pair
 
 
@@ -136,14 +137,27 @@ class TestPrimeInfrastructure:
     def test_primes_up_to_matches_trial_division(self):
         assert primes_up_to(1000).tolist() == trial_primes(1000)
 
-    def test_segmented_consistency(self):
-        # crossing a segment boundary changes nothing (segment = 1e7)
-        ps = primes_up_to(30)
-        assert ps.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    def test_segmented_consistency(self, monkeypatch):
+        # crossing a segment boundary changes nothing; grid points cut
+        # segments narrower than some base primes (the range (24, 25])
+        D = -4
+        field = QuadraticField(D)
+        grid = [12.999, 13.0, 24.0, 25.0, 20.0, 1.5, 25.0, 2209.0, 2208.0]
+        oracle = [psi_oracle(D, x) for x in grid]
+        for segment in (7, 97):
+            monkeypatch.setattr(verifier, "_SEGMENT", segment)
+            assert primes_up_to(5000).tolist() == trial_primes(5000)
+            rows = equidist_report(field, grid)
+            assert [r.x for r in rows] == grid
+            for r, (o_ident, o_non) in zip(rows, oracle):
+                assert (r.psi_identity, r.psi_nontrivial) == psi_pair(field, r.x)
+                assert abs(r.psi_identity - o_ident) < 1e-9
+                assert abs(r.psi_nontrivial - o_non) < 1e-9
 
     def test_miller_rabin(self):
+        primes = set(trial_primes(2000))
         for n in range(2, 2000):
-            assert is_prime(n) == (n in set(trial_primes(2000)))
+            assert is_prime(n) == (n in primes)
         assert is_prime(2**31 - 1)
         assert not is_prime(2**31)
 
@@ -217,6 +231,28 @@ class TestEquidistReport:
         two_part = math.fsum(math.log(2) for m in (2, 4, 8, 16))
         assert abs(rows[0].unramified_total - (chebyshev - two_part)) < 1e-12
         assert math.isclose(rows[0].unramified_total, 16.4930, rel_tol=1e-4)
+
+    def test_sums_are_exactly_rounded(self, monkeypatch):
+        # reference: fsum of the first powers plus fsum of the higher powers
+        monkeypatch.setattr(verifier, "_SEGMENT", 1000)
+        for D in (-4, 5, -1447):
+            primes = primes_up_to(20_000)
+            chi = np.array([kronecker_symbol(D, int(p)) for p in primes])
+            logs = np.log(primes.astype(np.float64))
+            grid = [20_000.0, 3_000.5, 1_000.0]
+            for x, r in zip(grid, equidist_report(QuadraticField(D), grid)):
+                first = primes <= x
+                extra = {1: [], -1: [], 0: []}  # identity, nontrivial, all
+                for p, c, lg in zip(primes[first], chi[first], logs[first]):
+                    pm, m = p * p, 2
+                    while c and pm <= x:
+                        extra[1 if c == 1 or m % 2 == 0 else -1].append(lg)
+                        extra[0].append(lg)
+                        pm, m = pm * p, m + 1
+                for got, c, mask in ((r.psi_identity, 1, chi == 1),
+                                     (r.psi_nontrivial, -1, chi == -1),
+                                     (r.unramified_total, 0, chi != 0)):
+                    assert got == math.fsum(logs[first & mask]) + math.fsum(extra[c])
 
     def test_error_decays_statistically(self):
         rng = np.random.default_rng(1)
