@@ -125,10 +125,12 @@ class Delta0Mode(enum.Enum):
 
 @lru_cache(maxsize=None)
 def standard_config(n0: int, beta0_present: bool, delta0: float | None = None) -> TuningConfig:
-    """Standard configuration on a table row; delta0 defaults to the
-    published per-row value."""
+    """Standard configuration on a table row (n0 in 2..21); delta0
+    defaults to the published per-row value."""
+    if not 2 <= n0 <= 21:
+        raise DomainError(f"n0 must be a table row in 2..21, got {n0}")
     if delta0 is None:
-        delta0 = pv.DELTA0[(min(n0, 21), beta0_present)]
+        delta0 = pv.DELTA0[(n0, beta0_present)]
     return TuningConfig.standard(n0, delta0, beta0_present)
 
 
@@ -397,16 +399,33 @@ def bound_eval(
     The field is attached to its Minkowski row (largest n0 <= n_L); the
     refined branch is selected whenever n_L <= N_0 of that row.  Ranges
     where the form is not yet valid return applicable = False with
-    epsilon unset.
+    epsilon unset.  Inputs whose threshold or epsilon would leave the
+    double range raise DomainError, so every report is finite.
     """
-    if log_x <= 0:
-        raise DomainError(f"log x must be positive, got {log_x}")
+    if not (math.isfinite(log_x) and log_x > 0):
+        raise DomainError(f"log x must be positive and finite, got {log_x}")
+    try:
+        report = _bound_report(field, log_x, beta0_present, form)
+        finite = math.isfinite(report.threshold) and math.isfinite(report.epsilon or 0.0)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"the bound for n_L = {field.n_L}, log d_L = {field.log_dL}, "
+            f"log x = {log_x} overflows double precision"
+        )
+    return report
+
+
+def _bound_report(
+    field: FieldParams, log_x: float, beta0_present: bool, form: BoundForm
+) -> BoundReport:
     n0 = min(field.n_L, 21)
     cfg = standard_config(n0, beta0_present)
     f = _finals_cached(n0, beta0_present)
     lam = lambda_L(field, cfg.m)
     n = field.n_L
-    refined = n <= f.N0
+    refined = bool(n <= f.N0)  # N0 can be a numpy float; json needs a bool
 
     if form is BoundForm.CLASSICAL_ABS:
         cc = classical_constants(cfg, ClassicalBranch.FULL, B0_FULL, f)

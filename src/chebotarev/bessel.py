@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import DomainError, NumericError
 from .zeros import ALPHA1, ALPHA2, ALPHA3
 
@@ -59,6 +57,10 @@ def bessel_K(n: float, z: float, y: float) -> float:
     below 1e-18 of the peak value, then refined to 1e-10 relative or
     better by adaptive quadrature.
     """
+    # imported here so that the constants path (tables, bound, params),
+    # which never integrates, does not pay for loading scipy
+    from scipy.integrate import quad
+
     if n <= 0 or z <= 0:
         raise DomainError(f"need n > 0 and z > 0, got n={n}, z={z}")
     if y < 0:

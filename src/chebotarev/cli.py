@@ -47,7 +47,7 @@ def _render_rows(columns: list[str], rows: list[list[str]], fmt: str) -> str:
         writer.writerows(rows)
         return buf.getvalue()
     if fmt == "jsonl":
-        lines = [json.dumps(dict(zip(columns, r)), sort_keys=True) for r in rows]
+        lines = [json.dumps(dict(zip(columns, r)), sort_keys=True, allow_nan=False) for r in rows]
         return "\n".join(lines) + "\n"
     widths = [max(len(c), *(len(r[i]) for r in rows)) if rows else len(c)
               for i, c in enumerate(columns)]
@@ -122,7 +122,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "details": {k: v for k, v in sorted(report.details.items())},
     }
     if args.format == "jsonl":
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n", args.out)
     else:
         lines = [
             f"form:               {payload['form']}",
@@ -203,7 +203,7 @@ def cmd_params(args: argparse.Namespace) -> int:
         "exp_coeff_half": finals.exp_coeff_half,
     }
     if args.format == "jsonl":
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n", args.out)
     else:
         lines = []
         for key, val in payload.items():

@@ -106,18 +106,22 @@ class FieldParams:
     def __post_init__(self) -> None:
         if self.n_L < 2:
             raise DomainError(f"degree must be >= 2, got {self.n_L}")
-        if not self.log_dL >= math.log(3) - 1e-12:
+        if not math.isfinite(self.log_dL):
+            raise DomainError(f"log d_L must be finite, got {self.log_dL}")
+        if self.log_dL < math.log(3) - 1e-12:
             raise DomainError(
                 f"log d_L = {self.log_dL} below log(3); no quadratic or higher "
                 "field has a smaller discriminant"
             )
-        row = minkowski_lookup(self.n_L)
+        # M is the same for every degree >= 21; only the top row's log d0,
+        # unused here, grows with the degree (and overflows past 1e307)
+        M = _ROW_BY_N0[min(self.n_L, 21)].M
         # the printed (d0, M) rows are independently rounded, so the exact
         # minima overshoot n0 = M log d0 by up to ~1.2e-6 relative
-        if self.n_L > row.M * self.log_dL * (1 + 2e-6):
+        if self.n_L > M * self.log_dL * (1 + 2e-6):
             raise DomainError(
                 f"(n_L={self.n_L}, log d_L={self.log_dL}) violates "
-                f"n_L <= {row.M} * log d_L; no such field exists"
+                f"n_L <= {M} * log d_L; no such field exists"
             )
 
     @classmethod

@@ -150,22 +150,33 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 _EPS_LO, _EPS_HI = 1e-3, 50.0
 _GRID_SIZE = 100_000
+_EPS_GRID = np.geomspace(_EPS_LO, _EPS_HI, _GRID_SIZE)
+# every ~391st grid index, both ends included
+_COARSE_IDX = np.linspace(0, _GRID_SIZE - 1, 257).astype(np.intp)
 
 
 @lru_cache(maxsize=512)
 def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
-    # Guarded 1-D minimization: B(T, .) is smooth and empirically unimodal
-    # on [1e-3, 50]; the dense grid protects against that assumption
-    # failing, golden-section refines the winner.
-    eps = np.geomspace(_EPS_LO, _EPS_HI, _GRID_SIZE)
-    vals = _count_bound_vec(T, eps, M, log_d0)
-    if not np.all(np.isfinite(vals)):
+    # Guarded 1-D minimization: the argmin of B(T, .) over the dense eps
+    # grid, refined by golden section.  B is unimodal on [1e-3, 50]
+    # (tests/test_zeros.py checks it on the full grid), so its full-grid
+    # argmin lies between the two coarse neighbours of the coarse argmin k.
+    # Evaluating the coarse subset, then that window at full resolution,
+    # gives the same index i and the same vals[i], bit for bit, as
+    # evaluating all 100 000 points.  B grows like 1/eps^2 at the small end,
+    # so overflow shows first at grid index 0, which the coarse subset holds.
+    coarse = _count_bound_vec(T, _EPS_GRID[_COARSE_IDX], M, log_d0)
+    if not np.all(np.isfinite(coarse)):
         raise NumericError("zero-count bound overflowed during minimization")
-    i = int(np.argmin(vals))
-    lo = eps[max(0, i - 2)]
-    hi = eps[min(len(eps) - 1, i + 2)]
+    k = int(np.argmin(coarse))
+    start = int(_COARSE_IDX[max(0, k - 1)])
+    stop = int(_COARSE_IDX[min(len(_COARSE_IDX) - 1, k + 1)]) + 1
+    vals = _count_bound_vec(T, _EPS_GRID[start:stop], M, log_d0)
+    i = start + int(np.argmin(vals))
+    lo = _EPS_GRID[max(0, i - 2)]
+    hi = _EPS_GRID[min(_GRID_SIZE - 1, i + 2)]
     best = _golden_min(lambda e: _count_bound(T, e, M, log_d0), lo, hi)
-    return min(float(vals[i]), _count_bound(T, best, M, log_d0))
+    return min(float(vals[i - start]), _count_bound(T, best, M, log_d0))
 
 
 def alpha0(T: float, row: MinkowskiRow) -> float:

@@ -2,6 +2,8 @@
 constants ell_6 / ell_7."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +73,20 @@ class TestBesselK:
             bessel_K(2.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             bessel_K(2.0, 1.0, -0.5)
+
+    def test_scipy_loaded_only_on_first_call(self):
+        # the constants path (tables, bound, params) never integrates, so
+        # importing the package and its CLI must not load scipy
+        code = (
+            "import sys, chebotarev, chebotarev.cli\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported eagerly'\n"
+            "print(repr(chebotarev.bessel_K(2.0, 2.0, 1.0)))\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert float(res.stdout) == bessel_K(2.0, 2.0, 1.0)
+        want = simpson_K(2.0, 2.0, 1.0)
+        assert abs(float(res.stdout) - want) <= 1e-8 * want
 
 
 class TestBesselI:

@@ -1,10 +1,15 @@
 """Command-line interface: rendering, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chebotarev import cli
+from chebotarev import BoundForm, cli
 from chebotarev import reference_values as pv
 
 
@@ -119,6 +124,27 @@ class TestBoundCommand:
         assert payload["exceptional_term"] == "x^(beta0-1)/beta0"
 
 
+    def test_general_branch_jsonl(self, capsys):
+        # n_L above the top row's N0 takes the general branch
+        code, out, _ = run(capsys, "bound", "--nL", "600", "--log-dL", "2000",
+                           "--logx", "1e7", "--format", "jsonl")
+        assert code == 0
+        assert json.loads(out)["refined_branch"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["--dL", "5", "--logx", "inf"],
+        ["--dL", "5", "--logx", "nan"],
+        ["--dL", "inf", "--logx", "5000"],
+        ["--log-dL", "inf", "--logx", "5000"],
+        ["--log-dL", "1e308", "--logx", "5000"],
+    ])
+    def test_non_finite_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "bound", "--nL", "2", *argv, "--format", "jsonl")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+
 class TestVerifyCommand:
     def test_gaussian_field(self, capsys):
         code, out, _ = run(capsys, "verify", "--disc", "-4", "--x", "20")
@@ -183,6 +209,13 @@ class TestParamsCommand:
         for key in ("alpha", "log_x0", "l0", "l7", "Y0", "E3", "N0"):
             assert key in out
 
+    @pytest.mark.parametrize("n0", ["1", "22"])
+    def test_row_outside_table_is_usage_error(self, capsys, n0):
+        code, out, err = run(capsys, "params", "--n0", n0)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: n0 must be a table row in 2..21")
+
     def test_jsonl_round_trip(self, capsys):
         code, out, _ = run(capsys, "params", "--n0", "21", "--beta0", "absent",
                            "--format", "jsonl")
@@ -190,3 +223,54 @@ class TestParamsCommand:
         payload = json.loads(out)
         assert payload["n0"] == 21
         assert 519 < payload["N0"] < 520
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+# values on and past the edges of what each option accepts
+EDGE_FLOATS = st.sampled_from(
+    ["inf", "-inf", "nan", "-0", "0", "1e309", "-1e309", "1e-320", "1e308", "-5",
+     "0.5", "3", "5", "100", "5000", "2e4", "1e7"]
+) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
+DEGREES = st.integers(-2, 45) | st.sampled_from([10**6, 10**400])
+FORMATS = st.sampled_from(cli.FORMATS)
+BETA0 = st.sampled_from(["present", "absent"])
+
+
+@st.composite
+def bound_argv(draw):
+    disc = draw(st.sampled_from(["--dL", "--log-dL"]))
+    return ["bound", f"--nL={draw(DEGREES)}", f"{disc}={draw(EDGE_FLOATS)}",
+            f"--logx={draw(EDGE_FLOATS)}", f"--beta0={draw(BETA0)}",
+            f"--form={draw(st.sampled_from([f.value for f in BoundForm]))}",
+            f"--format={draw(FORMATS)}"]
+
+
+@st.composite
+def params_argv(draw):
+    return ["params", f"--n0={draw(DEGREES)}", f"--beta0={draw(BETA0)}",
+            f"--format={draw(FORMATS)}"]
+
+
+class TestFuzzArgv:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(bound_argv(), params_argv()))
+    def test_exit_code_and_strict_jsonl(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+            assert "error:" in err.getvalue()
+        elif "--format=jsonl" in argv:
+            for line in out.getvalue().splitlines():
+                json.loads(line, parse_constant=_reject_constant)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,8 @@ from chebotarev import (
     solve_t0,
     window_coeffs,
 )
+from chebotarev import zeros
+from chebotarev.invariants import MINKOWSKI_TABLE
 from chebotarev.reference_values import matches_printed
 
 
@@ -98,6 +101,50 @@ class TestAlpha0:
     def test_rejects_nonpositive_T(self):
         with pytest.raises(DomainError):
             alpha0(0.0, minkowski_lookup(2))
+
+
+def full_grid_alpha0(T: float, M: float, log_d0: float) -> tuple[float, np.ndarray, int]:
+    """Reference minimizer: B(T, .) on all 100 000 grid points, then the
+    argmin refined by golden section.  Returns (value, grid values, argmin)."""
+    eps = np.geomspace(1e-3, 50.0, 100_000)
+    vals = zeros._count_bound_vec(T, eps, M, log_d0)
+    i = int(np.argmin(vals))
+    B = lambda e: zeros._count_bound(T, e, M, log_d0)
+    best = zeros._golden_min(B, eps[max(0, i - 2)], eps[min(len(eps) - 1, i + 2)])
+    return min(float(vals[i]), B(best)), vals, i
+
+
+def assert_unimodal(vals: np.ndarray, i: int) -> None:
+    steps = np.diff(vals)
+    assert np.all(steps[:i] < 0) and np.all(steps[i:] > 0)
+
+
+class TestAlpha0Window:
+    """alpha0 evaluates a coarse subset of its eps grid and then one window
+    at full resolution; that is exact only while B(T, .) is unimodal."""
+
+    # T = 50..55 puts the argmin in the last two coarse steps of the grid,
+    # and from T ~ 55 on it sits on the upper edge
+    HEIGHTS = [*np.geomspace(1e-6, 1e6, 25), *np.linspace(50.0, 55.0, 11)]
+
+    def test_matches_full_grid_bit_for_bit(self):
+        argmins = set()
+        for row in MINKOWSKI_TABLE:
+            for T in self.HEIGHTS:
+                want, vals, i = full_grid_alpha0(float(T), row.M, row.log_d0)
+                assert_unimodal(vals, i)
+                assert alpha0(float(T), row) == want, (row.n0, T)
+                argmins.add(i)
+        assert 99_999 in argmins
+        assert any(zeros._COARSE_IDX[-2] < i < 99_999 for i in argmins)
+
+    def test_lower_grid_edge(self):
+        # no real row puts the argmin on the lower edge (B grows like
+        # 1/eps^2 there), so a synthetic (M, log d0) exercises that clamp
+        want, vals, i = full_grid_alpha0(1.0, -1.0, 0.5)
+        assert i == 0
+        assert_unimodal(vals, i)
+        assert zeros._alpha0_cached(1.0, -1.0, 0.5) == want
 
 
 class TestAlpha0Prime:
