@@ -254,7 +254,7 @@ def choose_delta0(
     """
     if mode is Delta0Mode.REPRODUCE:
         if delta0 is None:
-            delta0 = pv.DELTA0[(min(n0, 21), beta0_present)]
+            return standard_config(n0, beta0_present).delta0  # checks the row too
         TuningConfig.standard(n0, delta0, beta0_present)  # validates the ceiling
         return delta0
 
@@ -425,7 +425,7 @@ def _bound_report(
     f = _finals_cached(n0, beta0_present)
     lam = lambda_L(field, cfg.m)
     n = field.n_L
-    refined = bool(n <= f.N0)  # N0 can be a numpy float; json needs a bool
+    refined = n <= f.N0
 
     if form is BoundForm.CLASSICAL_ABS:
         cc = classical_constants(cfg, ClassicalBranch.FULL, B0_FULL, f)

@@ -13,15 +13,18 @@ excluded outright.  Equidistribution predicts psi_C(x) ~ x/2 for both
 classes; the normalized deviation E_C(x) = |psi_C(x) - x/2|/(x/2) is what
 the explicit bounds elsewhere in this package control.
 
-One ascending pass of a segmented sieve (segments of at most 10^7, also
-cut at each x) serves a whole grid, so a grid costs about what its top x
-costs and memory is O(segment + sqrt(x)).  Log sums run exactly on
-integers in units of 2^-53 and are rounded once per x.
+One ascending pass of a segmented sieve (segments of at most 2^20
+numbers, also cut at each x) serves a whole grid, so a grid costs about
+what its top x costs and memory is O(segment + sqrt(x)).  A segment holds
+flags for its odd numbers only, pre-marked with the multiples of 3..13 by
+a periodic wheel pattern.  Log sums run exactly on integers in units of
+2^-53 and are rounded once per x.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 import os
@@ -50,7 +53,9 @@ __all__ = [
 ]
 
 DEFAULT_SIEVE_LIMIT = 10**9
-_SEGMENT = 10**7
+_SEGMENT = 2**20  # numbers per segment: its odd-number flags take 512 KiB
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = math.prod(_WHEEL_PRIMES)  # 15015, the wheel's period in odd numbers
 _UNIT = 2**53  # log sums run on integers in units of 2^-53
 
 
@@ -209,25 +214,48 @@ class EquidistRow:
     unramified_total: float  # sum of log p over ALL unramified p^m <= x
 
 
+@functools.cache
+def _wheel(width: int) -> np.ndarray:
+    """Read-only flags for the odd numbers 2j+1, j < width + _WHEEL: False
+    where one of _WHEEL_PRIMES divides 2j+1.  The pattern has period _WHEEL
+    in j, so the flags of any width odd numbers from 2j+1 on are the slice
+    starting at j % _WHEEL.  Built on the first sweep, not at import."""
+    flags = np.ones(width + _WHEEL, dtype=bool)
+    for p in _WHEEL_PRIMES:
+        flags[(p - 1) // 2 :: p] = False  # 2j+1 = 0 mod p iff j = (p-1)/2 mod p
+    flags.flags.writeable = False
+    return flags
+
+
 def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
     """(hi, primes in (lo, hi]) over consecutive ranges covering
     (1, stops[-1]] in ascending order, each at most _SEGMENT long and each
-    ending at every stop it reaches.  `stops` is ascending."""
-    root = math.isqrt(stops[-1])
-    small = [p for _, chunk in _segments([root]) for p in chunk.tolist()] if root > 1 else []
+    ending at every stop it reaches.  `stops` is ascending.
+
+    A segment sieves only its odd numbers, starting from the wheel pattern,
+    so the base primes 2 and _WHEEL_PRIMES are emitted explicitly and only
+    larger ones strike."""
+    base = primes_up_to(math.isqrt(stops[-1]))
+    base = base[base > _WHEEL_PRIMES[-1]]
+    squares = base * base
+    wheel = _wheel((_SEGMENT + 1) // 2)
     lo = 1
     for stop in stops:
         while lo < stop:
             hi = min(lo + _SEGMENT, stop)
-            seg = np.ones(hi - lo, dtype=bool)  # seg[i] stands for lo + 1 + i
-            for p in small:
-                if p * p > hi:
-                    break
-                start = max(p * p, (lo // p + 1) * p)
-                if start > hi:  # a segment cut at a stop can be narrower than p
-                    continue
-                seg[start - lo - 1 :: p] = False
-            yield hi, (np.flatnonzero(seg) + (lo + 1)).astype(np.int64)
+            a = (lo + 1) // 2  # seg[i] stands for the odd number 2(a + i) + 1
+            start = a % _WHEEL
+            seg = wheel[start : start + (hi + 1) // 2 - a].copy()
+            ps = base[: np.searchsorted(squares, hi, side="right")]
+            # strike from q p, q the least odd multiplier with q p > lo and q >= p
+            q = np.maximum((lo // ps + 1) | 1, ps)
+            for p, i in zip(ps.tolist(), ((q * ps - 1) // 2 - a).tolist()):
+                seg[i::p] = False
+            primes = np.flatnonzero(seg) * 2 + (2 * a + 1)
+            if lo < _WHEEL_PRIMES[-1]:
+                head = [p for p in (2, *_WHEEL_PRIMES) if lo < p <= hi]
+                primes = np.concatenate((np.array(head, dtype=np.int64), primes))
+            yield hi, primes
             lo = hi
 
 
@@ -269,10 +297,17 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
         chi = table[primes % modulus] if table is not None else np.array(
             [kronecker_symbol(D, int(p)) for p in primes], dtype=np.int8)
         units = (np.log(primes.astype(np.float64)) * _UNIT).astype(np.int64)
-        # units < 2^58: summing the high and low 29 bits apart cannot overflow
-        for i, mask in enumerate((chi == 1, chi == -1, chi != 0)):
-            u = units[mask]
-            first[i] += (int((u >> 29).sum()) << 29) + int((u & ((1 << 29) - 1)).sum())
+        # units < 2^58, and a segment holds at most _SEGMENT / 2 + 1 primes:
+        # per class, the sums of the high and the low 29 bits stay below
+        # 2^53, so these float64 sums are exact integers
+        cls = (chi + 1).astype(np.intp)  # 0 inert, 1 ramified, 2 split
+        high = np.bincount(cls, weights=units >> 29, minlength=3)
+        low = np.bincount(cls, weights=units & ((1 << 29) - 1), minlength=3)
+        split = (int(high[2]) << 29) + int(low[2])
+        inert = (int(high[0]) << 29) + int(low[0])
+        first[0] += split
+        first[1] += inert
+        first[2] += split + inert
 
         # higher powers p^m <= top need p <= sqrt(top): split p -> identity,
         # inert p -> identity for even m and nontrivial for odd m

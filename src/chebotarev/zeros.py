@@ -173,8 +173,8 @@ def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
     stop = int(_COARSE_IDX[min(len(_COARSE_IDX) - 1, k + 1)]) + 1
     vals = _count_bound_vec(T, _EPS_GRID[start:stop], M, log_d0)
     i = start + int(np.argmin(vals))
-    lo = _EPS_GRID[max(0, i - 2)]
-    hi = _EPS_GRID[min(_GRID_SIZE - 1, i + 2)]
+    lo = float(_EPS_GRID[max(0, i - 2)])
+    hi = float(_EPS_GRID[min(_GRID_SIZE - 1, i + 2)])
     best = _golden_min(lambda e: _count_bound(T, e, M, log_d0), lo, hi)
     return min(float(vals[i - start]), _count_bound(T, best, M, log_d0))
 

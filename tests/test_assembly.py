@@ -1,6 +1,7 @@
 """Final constants, the delta0 search, classical constants, bound
 evaluation, and table generation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -58,6 +59,18 @@ class TestFinalConstants:
         assert matches_printed(f.exp_coeff_full, "0.26730")
         assert matches_printed(f.exp_coeff_half, "0.27656")
 
+    def test_fields_are_python_floats(self):
+        # a numpy scalar here turns every comparison into a numpy.bool_,
+        # which json cannot encode
+        for n0 in range(2, 22):
+            for present in (True, False):
+                cfg = standard_config(n0, present)
+                for obj in (compute_ells(cfg), final_constants(cfg)):
+                    for field in dataclasses.fields(obj):
+                        if field.name != "k":  # the corollary index, an int
+                            value = getattr(obj, field.name)
+                            assert type(value) is float, (n0, present, field.name)
+
     def test_exp_coeff_ordering(self):
         f = _finals_cached(2, True)
         assert f.exp_coeff_full < f.exp_coeff_half < 1 / math.sqrt(R2)
@@ -111,6 +124,11 @@ class TestChooseDelta0:
             choose_delta0(2, True, Delta0Mode.REPRODUCE, 1.5)
         with pytest.raises(DomainError):
             choose_delta0(2, True, Delta0Mode.REPRODUCE, 0.0)
+
+    @pytest.mark.parametrize("n0", [1, 22])
+    def test_reproduce_default_rejects_row_outside_table(self, n0):
+        with pytest.raises(DomainError):
+            choose_delta0(n0, True, Delta0Mode.REPRODUCE)
 
     def test_search_degree_two_near_published(self):
         found = choose_delta0(2, True, Delta0Mode.SEARCH)

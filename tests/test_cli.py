@@ -254,23 +254,64 @@ def params_argv(draw):
             f"--format={draw(FORMATS)}"]
 
 
+# x on and past the edges of what verify accepts, and tokens that are not numbers
+X_TOKENS = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "0", "0.5", "1", "1.5", "2", "13", "17", "30031",
+     "99999.5", "1e5", "abc", "", "1e", "0x10"]
+) | st.floats(1, 1e5).map(repr)
+# fundamental and non-fundamental discriminants, 0, and |D| > 10^6
+DISCS = st.integers(-60, 60) | st.sampled_from(
+    [-4999, -1447, 1000005, -1000003, 1000000, 1000001, 4 * 5000, -(10**7)])
+
+
+@st.composite
+def verify_argv(draw):
+    argv = ["verify", f"--disc={draw(DISCS)}"]
+    if draw(st.booleans()):
+        argv.append(f"--x={draw(X_TOKENS)}")
+    else:  # unsorted, with repeats
+        xs = draw(st.lists(X_TOKENS, min_size=1, max_size=5))
+        argv.append("--x-grid=" + ",".join(xs + xs[: draw(st.integers(0, 2))]))
+    if draw(st.booleans()):
+        limit = draw(st.sampled_from(["1", "2", "100", "100000", "0", "-5", "1e9", "abc"]))
+        argv.append(f"--sieve-limit={limit}")
+    return argv + [f"--format={draw(FORMATS)}"]
+
+
+@st.composite
+def tables_argv(draw):
+    argv = ["tables", f"--id={draw(st.integers(0, 9))}", f"--format={draw(FORMATS)}",
+            f"--beta0={draw(st.sampled_from(['present', 'absent', 'both', 'none']))}"]
+    return argv + draw(st.lists(st.sampled_from(["--published-style", "--diff"]), unique=True))
+
+
+def _assert_clean_exit(argv):
+    """Exit 0 or 2, no traceback or RuntimeWarning, strict jsonl on success."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert "error:" in err.getvalue()
+    elif "--format=jsonl" in argv:
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+
+
 class TestFuzzArgv:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(bound_argv(), params_argv()))
     def test_exit_code_and_strict_jsonl(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        assert code in (0, 2), (argv, err.getvalue())
-        assert "Traceback" not in err.getvalue()
-        if code == 2:
-            assert out.getvalue() == ""
-            assert "error:" in err.getvalue()
-        elif "--format=jsonl" in argv:
-            for line in out.getvalue().splitlines():
-                json.loads(line, parse_constant=_reject_constant)
+        _assert_clean_exit(argv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(verify_argv(), tables_argv()))
+    def test_verify_and_tables_exit_code_and_strict_jsonl(self, argv):
+        _assert_clean_exit(argv)

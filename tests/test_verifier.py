@@ -1,6 +1,8 @@
 """Exact psi_C for quadratic fields against brute-force oracles."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -135,24 +137,44 @@ class TestKronecker:
 
 class TestPrimeInfrastructure:
     def test_primes_up_to_matches_trial_division(self):
-        assert primes_up_to(1000).tolist() == trial_primes(1000)
+        # every range end up to 200: 1, 2 and the wheel primes 3..13 included
+        primes = trial_primes(1000)
+        for n in [*range(1, 201), 1000]:
+            assert primes_up_to(n).tolist() == [p for p in primes if p <= n], n
 
     def test_segmented_consistency(self, monkeypatch):
         # crossing a segment boundary changes nothing; grid points cut
-        # segments narrower than some base primes (the range (24, 25])
+        # segments narrower than some base primes (the range (24, 25]); the
+        # wheel pattern repeats every 15015 odd numbers, so past 15015 and
+        # 30030 segments start at every offset within its period
         D = -4
         field = QuadraticField(D)
         grid = [12.999, 13.0, 24.0, 25.0, 20.0, 1.5, 25.0, 2209.0, 2208.0]
         oracle = [psi_oracle(D, x) for x in grid]
-        for segment in (7, 97):
+        primes = trial_primes(30_100)
+        for segment in (1, 2, 7, 97, 15015, 15016):
             monkeypatch.setattr(verifier, "_SEGMENT", segment)
-            assert primes_up_to(5000).tolist() == trial_primes(5000)
+            assert primes_up_to(30_100).tolist() == primes
             rows = equidist_report(field, grid)
             assert [r.x for r in rows] == grid
             for r, (o_ident, o_non) in zip(rows, oracle):
                 assert (r.psi_identity, r.psi_nontrivial) == psi_pair(field, r.x)
                 assert abs(r.psi_identity - o_ident) < 1e-9
                 assert abs(r.psi_nontrivial - o_non) < 1e-9
+
+    def test_class_sums_stay_exact(self):
+        # a segment holds at most (_SEGMENT + 1) // 2 odd numbers and the
+        # prime 2; per class its sums of 29-bit halves must stay below 2^53,
+        # where float64 still holds every integer
+        assert ((verifier._SEGMENT + 1) // 2 + 1) * 2**29 < 2**53
+
+    def test_import_builds_no_wheel(self):
+        code = ("import chebotarev.cli\n"
+                "from chebotarev import verifier\n"
+                "print(verifier._wheel.cache_info().currsize)\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "0"
 
     def test_miller_rabin(self):
         primes = set(trial_primes(2000))
