@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,7 +32,7 @@ from . import reference_values as pv
 from .constants import TuningConfig, compute_ells
 from .errors import DomainError, SearchError
 from .invariants import FieldParams, lambda_0, lambda_L, minkowski_lookup
-from .zeros import R2
+from .zeros import R2, _bisect
 
 __all__ = [
     "C_CURLY_N0",
@@ -222,18 +223,42 @@ def final_constants(cfg: TuningConfig, k: int = 1) -> FinalConstants:
 
 
 @lru_cache(maxsize=None)
-def _finals_cached(n0: int, beta0_present: bool, k: int = 1) -> FinalConstants:
-    return final_constants(standard_config(n0, beta0_present), k)
-
-
-def _search_objective(cfg: TuningConfig) -> float:
-    f = final_constants(cfg, k=0)
-    return min(f.max_E12, f.E3_tilde)
+def _finals_cached(n0: int, beta0_present: bool) -> FinalConstants:
+    return final_constants(standard_config(n0, beta0_present))
 
 
 def _N0_at(cfg: TuningConfig, delta0: float) -> float:
     c = cfg.with_delta0(delta0)
     return curly_N0(c, compute_ells(c).Y0)
+
+
+def _delta0_ceiling(cfg: TuningConfig) -> float:
+    # the analytic ceiling 1 - sqrt(2)/x0 rounds to 1.0 at table-sized x0;
+    # the smoothing machinery needs delta0 < 1 strictly
+    return min(1.0 - math.sqrt(2.0) * math.exp(-cfg.x0_log), 1.0 - 1e-9)
+
+
+def _delta0_interval(n0: int, beta0_present: bool) -> tuple[float, float]:
+    """Admissible delta0 interval (d_lo, d_hi) of a row in 2..20, on which
+    n0 <= N_0 < n0 + 1.
+
+    N_0 is strictly increasing in delta0, so each end is found by bisection;
+    d_lo is nudged inside the interval to keep N_0 >= n0 strictly.
+    """
+    base = standard_config(n0, beta0_present)
+    ceiling = _delta0_ceiling(base)
+    top = _N0_at(base, ceiling)
+    if top < n0:
+        raise SearchError(f"no delta0 reaches N0 = {n0} on this row")
+
+    def first_reaching(target: int) -> float:
+        return _bisect(lambda d: _N0_at(base, d) < target, 1e-9, ceiling)[1]
+
+    d_lo = first_reaching(n0)
+    d_hi = first_reaching(n0 + 1) if top >= n0 + 1 else ceiling
+    if not d_lo < d_hi:
+        raise SearchError(f"empty admissible delta0 interval at n0={n0}")
+    return min(d_lo * (1 + 1e-12) + 1e-18, d_hi), d_hi
 
 
 def choose_delta0(
@@ -248,69 +273,21 @@ def choose_delta0(
     and returns it unchanged; with no value given the published one is
     used.  SEARCH enforces n0 <= N_0 < n0 + 1 for rows up to 20 (N_0 is
     strictly increasing in delta0, so the admissible set is an interval,
-    found by bisection) and then minimizes min(max(E1, E2), E3~) over it
-    by a coarse grid plus golden-section refinement.  The top row instead
-    pushes N_0 as high as possible: delta0 = min(1 - sqrt(2)/x0, 0.99999).
+    found by bisection) and takes its lower end, which minimizes
+    min(max(E1, E2), E3~) over the interval: that objective is increasing
+    there on every row, as
+    tests/test_assembly.py::TestChooseDelta0::test_search_objective_increasing
+    checks.  The top row instead pushes N_0 as high as possible:
+    delta0 = min(1 - sqrt(2)/x0, 0.99999).
     """
     if mode is Delta0Mode.REPRODUCE:
         if delta0 is None:
             return standard_config(n0, beta0_present).delta0  # checks the row too
         TuningConfig.standard(n0, delta0, beta0_present)  # validates the ceiling
         return delta0
-
-    base = standard_config(n0, beta0_present)
-    # the analytic ceiling 1 - sqrt(2)/x0 rounds to 1.0 at table-sized x0;
-    # the smoothing machinery needs delta0 < 1 strictly
-    ceiling = min(1.0 - math.sqrt(2.0) * math.exp(-base.x0_log), 1.0 - 1e-9)
     if n0 >= 21:
-        return min(ceiling, 0.99999)
-
-    lo_n, hi_n = float(n0), float(n0 + 1)
-    if _N0_at(base, ceiling) < lo_n:
-        raise SearchError(f"no delta0 reaches N0 = {n0} on this row")
-
-    def bisect_for(target: float) -> float:
-        lo, hi = 1e-9, ceiling
-        if _N0_at(base, hi) < target:
-            return hi
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if _N0_at(base, mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        return hi
-
-    d_lo = bisect_for(lo_n)
-    d_hi = bisect_for(hi_n)
-    if not d_lo < d_hi:
-        raise SearchError(f"empty admissible delta0 interval at n0={n0}")
-
-    # keep N0 strictly >= n0: nudge inside the interval
-    d_lo = min(d_lo * (1 + 1e-12) + 1e-18, d_hi)
-    grid = np.geomspace(d_lo, d_hi * (1 - 1e-12), 200)
-    vals = [_search_objective(base.with_delta0(float(d))) for d in grid]
-    i = int(np.argmin(vals))
-
-    lo_b = float(grid[max(0, i - 1)])
-    hi_b = float(grid[min(len(grid) - 1, i + 1)])
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo_b, hi_b
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _search_objective(base.with_delta0(c))
-    fd = _search_objective(base.with_delta0(d))
-    while b - a > 1e-10 * b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _search_objective(base.with_delta0(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _search_objective(base.with_delta0(d))
-    best = 0.5 * (a + b)
-    return best if _search_objective(base.with_delta0(best)) <= vals[i] else float(grid[i])
+        return min(_delta0_ceiling(standard_config(n0, beta0_present)), 0.99999)
+    return _delta0_interval(n0, beta0_present)[0]
 
 
 def _a0_peak_value(C: float, A: float, B: float, D: float, b0: float, c0: float, M: float, n0: int) -> float:
@@ -529,14 +506,6 @@ class Table:
     rel_tol: float | None  # None selects the round-up band policy
 
 
-def _state_cols(beta0: str, present_cols: list[str], absent_cols: list[str]) -> list[str]:
-    if beta0 == "present":
-        return present_cols
-    if beta0 == "absent":
-        return absent_cols
-    return present_cols + absent_cols
-
-
 def generate_table(table_id: int, beta0: str = "both") -> Table:
     """Recompute one published table.
 
@@ -548,14 +517,11 @@ def generate_table(table_id: int, beta0: str = "both") -> Table:
     if beta0 not in ("present", "absent", "both"):
         raise DomainError(f"beta0 must be present/absent/both, got {beta0!r}")
 
-    builder = {
-        1: _table1, 2: _table2, 3: _table3, 4: _table4,
-        5: _table5, 6: _table6, 7: _table7, 8: _table8,
-    }[table_id]
-    return builder(beta0)
+    builder = {1: _table1, 2: _table2, 3: _table3}.get(table_id)
+    return builder() if builder else _split_table(table_id, beta0)
 
 
-def _table1(_: str) -> Table:
+def _table1() -> Table:
     from .zeros import alpha0, alpha0_prime
 
     labels, comp, printed = [], [], []
@@ -572,7 +538,7 @@ def _table1(_: str) -> Table:
                  tuple(labels), tuple(comp), tuple(printed), None)
 
 
-def _table2(_: str) -> Table:
+def _table2() -> Table:
     from .zeros import solve_omega0, solve_t0
 
     labels, comp, printed = [], [], []
@@ -588,7 +554,7 @@ def _table2(_: str) -> Table:
                  tuple(labels), tuple(comp), tuple(printed), None)
 
 
-def _table3(_: str) -> Table:
+def _table3() -> Table:
     labels, comp, printed = [], [], []
     for n0, (d0_s, M_s) in pv.TABLE3_MINKOWSKI.items():
         row = minkowski_lookup(n0)
@@ -599,131 +565,101 @@ def _table3(_: str) -> Table:
                  tuple(labels), tuple(comp), tuple(printed), None)
 
 
-def _table4(beta0: str) -> Table:
-    labels, comp, printed = [], [], []
-    use = ["present", "absent"] if beta0 == "both" else [beta0]
-    for n0, (alpha_s, lx0_s, pres, absn) in pv.TABLE4.items():
-        labels.append(str(n0))
-        crow: list[float] = []
-        prow: list[str] = []
-        f0 = _finals_cached(n0, True)
-        crow += [f0.alpha, f0.x0_log]
-        prow += [alpha_s, lx0_s]
-        for state in use:
-            present = state == "present"
-            f = _finals_cached(n0, present)
-            cfg = standard_config(n0, present)
-            crow += [cfg.delta0, f.max_E12, f.N0, f.E3, f.E3_tilde]
-            prow += list(pres if present else absn)
-        comp.append(tuple(crow))
-        printed.append(tuple(prow))
-    state_names = [
-        f"{c} [{s}]" for s in use for c in ("delta0", "max(E1,E2)", "N0", "E3", "E3~")
-    ]
-    return Table(4, _TABLE_TITLES[4], ("n0", "alpha", "log_x0", *state_names),
-                 tuple(labels), tuple(comp), tuple(printed), None)
+def _refined_cells(f: FinalConstants, cfg: TuningConfig) -> tuple[float, ...]:
+    cc = classical_constants(cfg, ClassicalBranch.REFINED, B0_REFINED, f)
+    return cc.a0, cc.b0, cc.c0
 
 
-def _table5(beta0: str) -> Table:
-    labels, comp, printed = [], [], []
-    use = ["present", "absent"] if beta0 == "both" else [beta0]
-    for n0, (alpha_s, pres, absn) in pv.TABLE5.items():
-        labels.append(str(n0))
-        crow = [_finals_cached(n0, True).alpha]
-        prow = [alpha_s]
-        for state in use:
-            present = state == "present"
-            f = _finals_cached(n0, present, 1)
-            crow += [f.D12, f.N0, f.D3, f.D3_tilde]
-            prow += list(pres if present else absn)
-        comp.append(tuple(crow))
-        printed.append(tuple(prow))
-    state_names = [f"{c} [{s}]" for s in use for c in ("D12", "N0", "D3", "D3~")]
-    return Table(5, _TABLE_TITLES[5], ("n0", "alpha", *state_names),
-                 tuple(labels), tuple(comp), tuple(printed), None)
+def _full_cells(f: FinalConstants, cfg: TuningConfig) -> tuple[float, ...]:
+    cc = classical_constants(cfg, ClassicalBranch.FULL, B0_FULL, f)
+    return cc.a0, cc.c0
 
 
-def _table6(beta0: str) -> Table:
-    labels, comp, printed = [], [], []
-    use = ["present", "absent"] if beta0 == "both" else [beta0]
-    for n0, (alpha_s, ecf_s, ech_s, pres, absn) in pv.TABLE6.items():
-        labels.append(str(n0))
-        f0 = _finals_cached(n0, True)
-        crow = [f0.alpha, f0.exp_coeff_full, f0.exp_coeff_half]
-        prow = [alpha_s, ecf_s, ech_s]
-        for state in use:
-            present = state == "present"
-            f = _finals_cached(n0, present)
-            crow += [f.N0, f.C12, f.C3, f.C3_tilde]
-            prow += list(pres if present else absn)
-        comp.append(tuple(crow))
-        printed.append(tuple(prow))
-    state_names = [f"{c} [{s}]" for s in use for c in ("N0", "C12", "C3", "C3~")]
-    return Table(6, _TABLE_TITLES[6],
-                 ("n0", "alpha", "exp_full", "exp_half", *state_names),
-                 tuple(labels), tuple(comp), tuple(printed), None)
+def _split_tail(cells: tuple) -> tuple[tuple, tuple, tuple]:
+    """(shared..., present block, absent block)"""
+    return cells[:-2], cells[-2], cells[-1]
 
 
-def _table7(beta0: str) -> Table:
-    labels, comp, printed = [], [], []
-    use = ["present", "absent"] if beta0 == "both" else [beta0]
+def _split_a0(cells: tuple) -> tuple[tuple, tuple, tuple]:
+    """(a0 present, a0 absent, shared tail...): each state repeats the tail"""
+    return (), (cells[0], *cells[2:]), (cells[1], *cells[2:])
 
-    for n_l, (a0_p, a0_a, b0_s, c0_s) in pv.TABLE7_PER_DEGREE.items():
-        labels.append(str(n_l))
-        crow: list[float] = []
-        prow: list[str] = []
-        for state in use:
-            present = state == "present"
-            cfg = standard_config(n_l, present)
-            cc = classical_constants(cfg, ClassicalBranch.REFINED, B0_REFINED,
-                                     _finals_cached(n_l, present))
-            crow += [cc.a0, cc.b0, cc.c0]
-            prow += [a0_p if present else a0_a, b0_s, c0_s]
-        comp.append(tuple(crow))
-        printed.append(tuple(prow))
 
+@dataclass(frozen=True)
+class _SplitTable:
+    """A table whose rows hold cells shared by both exceptional-zero states,
+    then one block of cells per state."""
+
+    reference: dict[int, tuple]  # printed rows by n0
+    split: Callable[[tuple], tuple[tuple, tuple, tuple]]  # -> shared, present, absent
+    shared: tuple[tuple[str, str], ...]  # (column, FinalConstants attribute)
+    state_columns: tuple[str, ...]
+    state_cells: Callable[[FinalConstants, TuningConfig], tuple[float, ...]]
+    first: str = "n0"
+    rel_tol: float | None = None
+    extra_rows: Callable[[tuple[bool, ...]], list[tuple[str, list, list]]] | None = None
+
+
+def _table7_range_rows(use: tuple[bool, ...]) -> list[tuple[str, list, list]]:
+    """Degree-range rows of table 7, at n0 = 21, blank outside their state."""
+    rows = []
     for label, present, a0_s, b0_s, c0_s, branch_s in pv.TABLE7_RANGE:
-        state = "present" if present else "absent"
-        if state not in use:
+        if present not in use:
             continue
-        labels.append(label)
-        cfg = standard_config(21, present)
         branch = ClassicalBranch(branch_s)
         b0 = B0_REFINED if branch is ClassicalBranch.REFINED else B0_FULL
-        cc = classical_constants(cfg, branch, b0, _finals_cached(21, present))
-        pad = len(use) * 3
-        crow = [math.nan] * pad
-        prow2: list[str | None] = [None] * pad
-        off = use.index(state) * 3
+        cc = classical_constants(standard_config(21, present), branch, b0,
+                                 _finals_cached(21, present))
+        crow: list[float] = [math.nan] * (len(use) * 3)
+        prow: list[str | None] = [None] * (len(use) * 3)
+        off = use.index(present) * 3
         crow[off:off + 3] = [cc.a0, cc.b0, cc.c0]
-        prow2[off:off + 3] = [a0_s, b0_s, c0_s]
-        comp.append(tuple(crow))
-        printed.append(tuple(prow2))
-
-    state_names = [f"{c} [{s}]" for s in use for c in ("a0", "b0", "c0")]
-    return Table(7, _TABLE_TITLES[7], ("n_L", *state_names),
-                 tuple(labels), tuple(comp), tuple(printed), pv.GUARD_TABLES_REL_TOL)
+        prow[off:off + 3] = [a0_s, b0_s, c0_s]
+        rows.append((label, crow, prow))
+    return rows
 
 
-def _table8(beta0: str) -> Table:
-    labels, comp, printed = [], [], []
-    use = ["present", "absent"] if beta0 == "both" else [beta0]
-    for n0, (a0_p, a0_a, c0_s) in pv.TABLE8.items():
-        labels.append(str(n0))
-        crow: list[float] = []
-        prow: list[str] = []
-        for state in use:
-            present = state == "present"
-            cfg = standard_config(n0, present)
-            cc = classical_constants(cfg, ClassicalBranch.FULL, B0_FULL,
-                                     _finals_cached(n0, present))
-            crow += [cc.a0, cc.c0]
-            prow += [a0_p if present else a0_a, c0_s]
-        comp.append(tuple(crow))
-        printed.append(tuple(prow))
-    state_names = [f"{c} [{s}]" for s in use for c in ("a0", "c0")]
-    return Table(8, _TABLE_TITLES[8], ("n0", *state_names),
-                 tuple(labels), tuple(comp), tuple(printed), pv.GUARD_TABLES_REL_TOL)
+_SPLIT_TABLES = {
+    4: _SplitTable(pv.TABLE4, _split_tail, (("alpha", "alpha"), ("log_x0", "x0_log")),
+                   ("delta0", "max(E1,E2)", "N0", "E3", "E3~"),
+                   lambda f, cfg: (cfg.delta0, f.max_E12, f.N0, f.E3, f.E3_tilde)),
+    5: _SplitTable(pv.TABLE5, _split_tail, (("alpha", "alpha"),),
+                   ("D12", "N0", "D3", "D3~"),
+                   lambda f, _: (f.D12, f.N0, f.D3, f.D3_tilde)),
+    6: _SplitTable(pv.TABLE6, _split_tail,
+                   (("alpha", "alpha"), ("exp_full", "exp_coeff_full"),
+                    ("exp_half", "exp_coeff_half")),
+                   ("N0", "C12", "C3", "C3~"),
+                   lambda f, _: (f.N0, f.C12, f.C3, f.C3_tilde)),
+    7: _SplitTable(pv.TABLE7_PER_DEGREE, _split_a0, (), ("a0", "b0", "c0"), _refined_cells,
+                   "n_L", pv.GUARD_TABLES_REL_TOL, _table7_range_rows),
+    8: _SplitTable(pv.TABLE8, _split_a0, (), ("a0", "c0"), _full_cells,
+                   "n0", pv.GUARD_TABLES_REL_TOL),
+}
+
+
+def _split_table(table_id: int, beta0: str) -> Table:
+    spec = _SPLIT_TABLES[table_id]
+    use = (True, False) if beta0 == "both" else (beta0 == "present",)
+    rows = []
+    for n0, cells in spec.reference.items():
+        shared, present_cells, absent_cells = spec.split(cells)
+        # shared cells are read off the present state
+        crow = [getattr(_finals_cached(n0, True), attr) for _, attr in spec.shared]
+        prow = list(shared)
+        for present in use:
+            crow += spec.state_cells(_finals_cached(n0, present), standard_config(n0, present))
+            prow += present_cells if present else absent_cells
+        rows.append((str(n0), crow, prow))
+    if spec.extra_rows is not None:
+        rows += spec.extra_rows(use)
+
+    state_names = [f"{c} [{'present' if p else 'absent'}]" for p in use for c in spec.state_columns]
+    return Table(table_id, _TABLE_TITLES[table_id],
+                 (spec.first, *(c for c, _ in spec.shared), *state_names),
+                 tuple(label for label, _, _ in rows),
+                 tuple(tuple(c) for _, c, _ in rows),
+                 tuple(tuple(p) for _, _, p in rows), spec.rel_tol)
 
 
 def diff_table(table: Table) -> list[CellDiff]:

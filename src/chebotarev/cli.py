@@ -59,8 +59,11 @@ def _render_rows(columns: list[str], rows: list[list[str]], fmt: str) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

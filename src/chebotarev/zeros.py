@@ -285,6 +285,23 @@ def solve_omega0(t0: float) -> float:
     return (math.pi / t0) * (2 * ALPHA1 + (2 * ALPHA2 + ALPHA3) / math.log(math.sqrt(3) * t0))
 
 
+def _bisect(left_of_root, lo: float, hi: float) -> tuple[float, float]:
+    """Shrink [lo, hi] around the point where left_of_root turns False.
+
+    Expects left_of_root(lo) true and left_of_root(hi) false.  Halves until
+    the midpoint rounds to an endpoint, i.e. lo and hi are adjacent doubles;
+    any further halving step would leave both unchanged.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo, hi
+        if left_of_root(mid):
+            lo = mid
+        else:
+            hi = mid
+
+
 def solve_t0(omega0: float) -> float:
     """Invert solve_omega0: smallest t0 with Q(u,t) < omega0 (u n/pi) log(Delta u)
     for all u >= t >= t0.  Bisection on (1, 1e9]; the profile is strictly
@@ -295,10 +312,5 @@ def solve_t0(omega0: float) -> float:
     f = lambda t: solve_omega0(t) - omega0
     if not (f(lo) > 0 > f(hi)):
         raise NumericError(f"bisection bracket failed for omega0={omega0}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda t: f(t) > 0, lo, hi)
     return 0.5 * (lo + hi)

@@ -4,6 +4,7 @@ evaluation, and table generation."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from chebotarev import (
@@ -23,9 +24,10 @@ from chebotarev import (
     lambda_L,
     standard_config,
 )
-from chebotarev.assembly import B0_FULL, B0_REFINED, classical_a0_grid, _finals_cached
+from chebotarev.assembly import (B0_FULL, B0_REFINED, _delta0_interval, _finals_cached,
+                                 classical_a0_grid)
 from chebotarev.constants import compute_ells
-from chebotarev.reference_values import matches_printed, parse_printed
+from chebotarev.reference_values import DELTA0, matches_printed, parse_printed
 from chebotarev.zeros import R2
 
 
@@ -112,6 +114,10 @@ class TestCurlyN0:
             curly_N0(cfg, 0.0)
 
 
+# rows on which SEARCH bisects for n0 <= N_0 < n0 + 1
+SEARCH_ROWS = [(n0, present) for n0 in range(2, 21) for present in (True, False)]
+
+
 class TestChooseDelta0:
     def test_reproduce_returns_input(self):
         assert choose_delta0(2, True, Delta0Mode.REPRODUCE, 2.26e-3) == 2.26e-3
@@ -130,13 +136,28 @@ class TestChooseDelta0:
         with pytest.raises(DomainError):
             choose_delta0(n0, True, Delta0Mode.REPRODUCE)
 
-    def test_search_degree_two_near_published(self):
-        found = choose_delta0(2, True, Delta0Mode.SEARCH)
-        assert abs(found - 2.26e-3) / 2.26e-3 < 0.05
-        # the found point must stay admissible
-        cfg = standard_config(2, True).with_delta0(found)
-        N0 = curly_N0(cfg, compute_ells(cfg).Y0)
-        assert 2.0 <= N0 < 3.0
+    def test_search_near_published(self):
+        for n0, present in SEARCH_ROWS:
+            found = choose_delta0(n0, present, Delta0Mode.SEARCH)
+            published = DELTA0[(n0, present)]
+            assert abs(found - published) / published < 0.05, (n0, present)
+            # the found point must stay admissible
+            cfg = standard_config(n0, present).with_delta0(found)
+            N0 = curly_N0(cfg, compute_ells(cfg).Y0)
+            assert n0 <= N0 < n0 + 1, (n0, present)
+
+    def test_search_objective_increasing(self):
+        # SEARCH returns the lower end of the admissible interval; that is the
+        # minimizer of min(max(E1, E2), E3~) only while the objective
+        # increases across the interval, checked here on a dense grid
+        for n0, present in SEARCH_ROWS:
+            d_lo, d_hi = _delta0_interval(n0, present)
+            base = standard_config(n0, present)
+            vals = []
+            for d in np.geomspace(d_lo, d_hi * (1 - 1e-12), 200):
+                f = final_constants(base.with_delta0(float(d)), k=0)
+                vals.append(min(f.max_E12, f.E3_tilde))
+            assert all(a < b for a, b in zip(vals, vals[1:])), (n0, present)
 
     def test_search_top_row(self):
         assert choose_delta0(21, True, Delta0Mode.SEARCH) == 0.99999

@@ -303,6 +303,7 @@ def _assert_clean_exit(argv):
     elif "--format=jsonl" in argv:
         for line in out.getvalue().splitlines():
             json.loads(line, parse_constant=_reject_constant)
+    return code
 
 
 class TestFuzzArgv:
@@ -315,3 +316,16 @@ class TestFuzzArgv:
     @given(st.one_of(verify_argv(), tables_argv()))
     def test_verify_and_tables_exit_code_and_strict_jsonl(self, argv):
         _assert_clean_exit(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--id=1"],
+    ["params", "--n0=2"],
+    ["bound", "--nL=2", "--dL=5", "--logx=100"],
+    ["verify", "--disc=5", "--x=100"],
+])
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, argv, target):
+    out = tmp_path / "missing" / "out.txt" if target == "missing-parent" else tmp_path
+    assert _assert_clean_exit(argv + [f"--out={out}"]) == 2
+    assert list(tmp_path.iterdir()) == []

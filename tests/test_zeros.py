@@ -27,7 +27,7 @@ from chebotarev import (
 )
 from chebotarev import zeros
 from chebotarev.invariants import MINKOWSKI_TABLE
-from chebotarev.reference_values import matches_printed
+from chebotarev.reference_values import TABLE2_OMEGA_TO_T, matches_printed
 
 
 class TestZeroFreeConstants:
@@ -282,3 +282,21 @@ class TestThresholdPairs:
             solve_omega0(0.5)
         with pytest.raises(DomainError):
             solve_t0(0.5)
+
+    def test_matches_fixed_step_bisection(self):
+        # 200 halvings reach adjacent doubles long before the last step, so
+        # stopping there instead must not change a single bit
+        def fixed_step(omega0):
+            lo, hi = 1.0, 1e9
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if solve_omega0(mid) - omega0 > 0:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        rng = np.random.default_rng(20251018)
+        table2 = [float(w) for w, _ in TABLE2_OMEGA_TO_T] + [2.5]
+        for w in table2 + [float(v) for v in rng.uniform(1.0, 290.0, 200)]:
+            assert solve_t0(w) == fixed_step(w), w
