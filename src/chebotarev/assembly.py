@@ -26,8 +26,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from . import reference_values as pv
 from .constants import TuningConfig, compute_ells
 from .errors import DomainError, SearchError
@@ -309,6 +307,8 @@ def classical_a0_grid(
     C: float, A: float, B: float, D: float, b0: float, c0: float, M: float, n0: int, points: int = 1_000_000
 ) -> float:
     """Grid-search replacement for the closed-form maximizer (oracle)."""
+    import numpy as np
+
     K = (D - b0) * c0 ** (1.0 / 6.0) / M ** (1.0 / 3.0)
     p = A / 3.0 + B
     y_min = c0 * n0**3 / (M * M)

@@ -12,6 +12,10 @@ Subcommands:
 Every command is deterministic: identical invocations produce
 byte-identical output.  Usage errors exit 2 (argparse convention),
 numeric mismatches exit 1, success exits 0.
+
+Each command imports only the modules it runs: `verify` loads no
+constants module, and `tables`, `bound` and `params` never load the
+verifier.
 """
 
 from __future__ import annotations
@@ -21,16 +25,20 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import assembly
-from .assembly import BoundForm, Table, bound_eval, diff_table, generate_table
-from .constants import compute_ells
 from .errors import DomainError, ResourceError
-from .invariants import FieldParams
-from .verifier import QuadraticField, equidist_report, sieve_limit
+
+if TYPE_CHECKING:
+    from .assembly import Table
 
 FORMATS = ("csv", "markdown", "jsonl")
+# assembly.TABLE_IDS and the BoundForm values, kept here so that building
+# the parser imports no computing module (tests/test_cli.py pins them)
+TABLE_IDS = (1, 2, 3, 4, 5, 6, 7, 8)
+BOUND_FORMS = ("exp", "log", "classical-nl", "classical-abs")
 
 
 def _fmt(v: float | None) -> str:
@@ -84,6 +92,8 @@ def _table_rows(table: Table, published_style: bool) -> list[list[str]]:
 
 
 def cmd_tables(args: argparse.Namespace) -> int:
+    from .assembly import diff_table, generate_table
+
     table = generate_table(args.id, args.beta0)
     text = _render_rows(list(table.columns), _table_rows(table, args.published_style),
                         args.format)
@@ -105,6 +115,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    from .assembly import BoundForm, bound_eval
+    from .invariants import FieldParams
+
     if args.log_dL is not None:
         field = FieldParams(args.nL, args.log_dL)
     else:
@@ -156,6 +169,8 @@ def _x_grid(text: str) -> list[float]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verifier import QuadraticField, equidist_report, sieve_limit
+
     field = QuadraticField(args.disc)
     grid = [args.x] if args.x is not None else args.x_grid
     limit = args.sieve_limit if args.sieve_limit is not None else sieve_limit()
@@ -174,6 +189,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
+    from . import assembly
+    from .constants import compute_ells
+
     cfg = assembly.standard_config(args.n0, args.beta0 == "present")
     ells = compute_ells(cfg)
     finals = assembly.final_constants(cfg)
@@ -230,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tables = sub.add_parser("tables", help="regenerate a published table and diff it")
-    p_tables.add_argument("--id", type=int, required=True, choices=assembly.TABLE_IDS)
+    p_tables.add_argument("--id", type=int, required=True, choices=TABLE_IDS)
     p_tables.add_argument("--beta0", choices=("present", "absent", "both"), default="both")
     p_tables.add_argument("--format", choices=FORMATS, default="markdown")
     p_tables.add_argument("--out", default=None, help="write rendered table to a file")
@@ -249,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--log-dL", dest="log_dL", type=float, help="log of the absolute discriminant")
     p_bound.add_argument("--logx", type=float, required=True)
     p_bound.add_argument("--beta0", choices=("present", "absent"), default="absent")
-    p_bound.add_argument("--form", choices=[f.value for f in BoundForm], default="exp")
+    p_bound.add_argument("--form", choices=BOUND_FORMS, default="exp")
     p_bound.add_argument("--format", choices=FORMATS, default="markdown")
     p_bound.add_argument("--out", default=None)
     p_bound.set_defaults(func=cmd_bound)
@@ -275,6 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if "numpy" not in sys.modules:
+        # nothing here calls BLAS, so OpenBLAS needs no worker thread, which
+        # would spin through up to 0.1 s of CPU per process; a value the user
+        # exported still wins, and a host process that already loaded numpy
+        # keeps its own setting
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -19,6 +19,10 @@ what its top x costs and memory is O(segment + sqrt(x)).  A segment holds
 flags for its odd numbers only, pre-marked with the multiples of 3..13 by
 a periodic wheel pattern.  Log sums run exactly on integers in units of
 2^-53 and are rounded once per x.
+
+Importing this module builds no array.  The wheel pattern is built on the
+first sweep and kept, read-only, for later ones; each segment's flags and
+primes, and the base primes up to sqrt(x), live only while one sweep runs.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .invariants import FieldParams
 
 __all__ = [
     "DEFAULT_SIEVE_LIMIT",
+    "MAX_ABS_DISC",
     "ConjugacyClass",
     "QuadraticField",
     "ClassCount",
@@ -53,6 +58,9 @@ __all__ = [
 ]
 
 DEFAULT_SIEVE_LIMIT = 10**9
+# deciding squarefreeness trial-divides up to the cube root of |D|: at most
+# 10^6 steps, a fraction of a second, up to this cap
+MAX_ABS_DISC = 10**18
 _SEGMENT = 2**20  # numbers per segment: its odd-number flags take 512 KiB
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL = math.prod(_WHEEL_PRIMES)  # 15015, the wheel's period in odd numbers
@@ -73,22 +81,28 @@ class ConjugacyClass(enum.Enum):
 
 
 def _squarefree(n: int) -> bool:
+    """True when no prime square divides n.  Trial division stops once
+    d^3 > n: what is left of n then has no prime factor below d, so it has
+    at most two prime factors (three would exceed it), and it is squarefree
+    exactly when it is not a perfect square above 1."""
     n = abs(n)
     if n == 0:
         return False
     d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        while n % d == 0:
+    while d * d * d <= n:
+        if n % d == 0:
             n //= d
-        d += 1
-    return True
+            if n % d == 0:
+                return False
+        d += 1 if d == 2 else 2
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 def is_fundamental_discriminant(D: int) -> bool:
     """True for D = 1 mod 4 squarefree (D != 1), or D = 4d with
-    d = 2, 3 mod 4 squarefree."""
+    d = 2, 3 mod 4 squarefree.  DomainError for |D| > MAX_ABS_DISC."""
+    if abs(D) > MAX_ABS_DISC:
+        raise DomainError(f"|D| must be at most {MAX_ABS_DISC:.0e}, got {D}")
     if D in (0, 1):
         return False
     if D % 4 == 1:

@@ -16,20 +16,24 @@ N_L(T+1) - N_L(T-1), the zero-density kernel Q(u,t) >= N_L(u) - N_L(t),
 and the threshold pairs (omega0, t0) with
 Q(u,t) < omega0 * (u n_L / pi) log(Delta_L u) for u >= t >= t0.
 
-Everything here is a pure function of its arguments; the one-dimensional
-eps-minimization allocates only local state.
+Everything here is a pure function of its arguments.  The one-dimensional
+eps-minimization reads a fixed 100 000-point eps grid, which the first
+alpha0 call builds (importing numpy then) and every later call shares
+read-only; importing this module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import cache, lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericError
 from .invariants import FieldParams, MinkowskiRow
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ALPHA1",
@@ -121,6 +125,8 @@ def _count_bound(T: float, eps: float, M: float, log_d0: float) -> float:
 
 
 def _count_bound_vec(T: float, eps: np.ndarray, M: float, log_d0: float) -> np.ndarray:
+    import numpy as np
+
     one = 1.0 + eps
     c1 = (one * one + T * T) / (2.0 * eps)
     c2 = c1 * np.log(2.0 + eps) + 2.0 * c1 * (1.0 / eps + 539.0 / 268.0)
@@ -150,9 +156,20 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 _EPS_LO, _EPS_HI = 1e-3, 50.0
 _GRID_SIZE = 100_000
-_EPS_GRID = np.geomspace(_EPS_LO, _EPS_HI, _GRID_SIZE)
-# every ~391st grid index, both ends included
-_COARSE_IDX = np.linspace(0, _GRID_SIZE - 1, 257).astype(np.intp)
+# every ~391st grid index, both ends included: the integer part of
+# numpy.linspace(0, _GRID_SIZE - 1, 257), whose steps are exact in float64
+_COARSE_IDX = [i * (_GRID_SIZE - 1) // 256 for i in range(257)]
+
+
+@cache
+def _eps_grid() -> np.ndarray:
+    """The eps grid, geometric from _EPS_LO to _EPS_HI, read-only.  Built on
+    the first alpha0 call, not at import."""
+    import numpy as np
+
+    grid = np.geomspace(_EPS_LO, _EPS_HI, _GRID_SIZE)
+    grid.flags.writeable = False
+    return grid
 
 
 @lru_cache(maxsize=512)
@@ -165,16 +182,19 @@ def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
     # gives the same index i and the same vals[i], bit for bit, as
     # evaluating all 100 000 points.  B grows like 1/eps^2 at the small end,
     # so overflow shows first at grid index 0, which the coarse subset holds.
-    coarse = _count_bound_vec(T, _EPS_GRID[_COARSE_IDX], M, log_d0)
+    import numpy as np
+
+    grid = _eps_grid()
+    coarse = _count_bound_vec(T, grid[_COARSE_IDX], M, log_d0)
     if not np.all(np.isfinite(coarse)):
         raise NumericError("zero-count bound overflowed during minimization")
     k = int(np.argmin(coarse))
-    start = int(_COARSE_IDX[max(0, k - 1)])
-    stop = int(_COARSE_IDX[min(len(_COARSE_IDX) - 1, k + 1)]) + 1
-    vals = _count_bound_vec(T, _EPS_GRID[start:stop], M, log_d0)
+    start = _COARSE_IDX[max(0, k - 1)]
+    stop = _COARSE_IDX[min(len(_COARSE_IDX) - 1, k + 1)] + 1
+    vals = _count_bound_vec(T, grid[start:stop], M, log_d0)
     i = start + int(np.argmin(vals))
-    lo = float(_EPS_GRID[max(0, i - 2)])
-    hi = float(_EPS_GRID[min(_GRID_SIZE - 1, i + 2)])
+    lo = float(grid[max(0, i - 2)])
+    hi = float(grid[min(_GRID_SIZE - 1, i + 2)])
     best = _golden_min(lambda e: _count_bound(T, e, M, log_d0), lo, hi)
     return min(float(vals[i - start]), _count_bound(T, best, M, log_d0))
 

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 import warnings
 
 import pytest
@@ -201,6 +205,19 @@ class TestVerifyCommand:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("disc,code", [
+        ("100000000000097", 0),  # prime, 1 mod 4
+        ("999999999999999989", 0),  # prime, just below the cap
+        ("1000000000000000009", 2),  # above the cap
+    ])
+    def test_large_discriminant_is_fast(self, capsys, disc, code):
+        start = time.perf_counter()
+        got, out, err = run(capsys, "verify", "--disc", disc, "--x", "100")
+        assert time.perf_counter() - start < 2.0
+        assert got == code, err
+        if code == 2:
+            assert out == "" and err.startswith("error: |D| must be at most")
+
 
 class TestParamsCommand:
     def test_dump_contains_pipeline(self, capsys):
@@ -329,3 +346,131 @@ def test_unwritable_out_is_usage_error(tmp_path, argv, target):
     out = tmp_path / "missing" / "out.txt" if target == "missing-parent" else tmp_path
     assert _assert_clean_exit(argv + [f"--out={out}"]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------------------------------ start-up
+
+# cli.main(argv) in a fresh process; prints the chebotarev modules it
+# loaded (and numpy, if loaded) and its OS thread count
+_CHILD = """
+import contextlib, io, json, os, sys
+from chebotarev import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        cli.main(sys.argv[1:])
+    except SystemExit:
+        pass
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([[m for m in sys.modules if m == "numpy" or m.startswith("chebotarev")],
+                  threads]))
+"""
+
+
+def _fresh_python(code, *args, env=None):
+    res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env=env)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+def _fresh_cli(*argv, env=None):
+    modules, threads = _fresh_python(_CHILD, *argv, env=env)
+    return set(modules), threads
+
+
+def _numpy_uses_openblas():
+    try:
+        import numpy as np
+
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (ImportError, TypeError, KeyError):  # show_config(mode=) needs numpy >= 1.26
+        return False
+    return "openblas" in blas.lower()
+
+
+# the public names of the package, as `import chebotarev` loaded them eagerly
+PUBLIC_NAMES = [
+    "ALPHA1", "ALPHA2", "ALPHA3", "BesselArgs", "BoundForm", "BoundReport", "ClassCount",
+    "ClassicalBranch", "ClassicalConstants", "ConjugacyClass", "Delta0Mode", "DomainError",
+    "EllConstants", "Endpoint", "FieldParams", "FinalConstants", "MINKOWSKI_TABLE",
+    "MinkowskiRow", "NumericError", "P_E_L", "PoleError", "Q_kernel", "Q_kernel_partial_u",
+    "QuadraticField", "R1", "R2", "RegimeThreshold", "ResourceError", "SearchError",
+    "SmoothingParams", "TuningConfig", "ZeroFreeConstants", "alpha0", "alpha0_prime",
+    "assembly", "bessel", "bessel_I", "bessel_K", "bound_eval", "c123", "choose_delta0",
+    "classical_constants", "compute_ells", "constants", "corollary_constants", "curly_N0",
+    "diff_table", "ell6", "ell7", "ell_low", "equidist_report", "errors", "final_constants",
+    "generate_table", "invariants", "is_fundamental_discriminant", "k2_upper_bound",
+    "kronecker", "lambda_0", "lambda_L", "m_bound", "mellin_H", "minkowski_lookup",
+    "psi_C_exact", "reference_values", "smoothing", "solve_omega0", "solve_t0",
+    "standard_config", "verifier", "weight_g", "weight_h", "window_coeffs", "y0", "y0_terms",
+    "zeros",
+]
+
+
+class TestStartUp:
+    def test_package_import_loads_no_submodule(self):
+        code = ("import json, sys, chebotarev\n"
+                "print(json.dumps([m for m in sys.modules"
+                " if m == 'numpy' or m.startswith('chebotarev')]))")
+        assert _fresh_python(code) == ["chebotarev"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["tables", "--help"],
+        ["tables", "--id", "99"],
+        ["verify", "--disc", "5", "--x-grid", "1e3,abc"],
+        ["tables", "--id", "2"],
+    ])
+    def test_no_numpy(self, argv):
+        assert "numpy" not in _fresh_cli(*argv)[0]
+
+    def test_verify_loads_only_the_verifier(self):
+        modules, _ = _fresh_cli("verify", "--disc", "5", "--x", "100")
+        assert modules == {"numpy", "chebotarev", "chebotarev.cli", "chebotarev.errors",
+                           "chebotarev.invariants", "chebotarev.verifier"}
+
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--id", "4"],
+        ["params", "--n0", "2"],
+        ["bound", "--nL", "2", "--dL", "5", "--logx", "100"],
+    ])
+    def test_constants_commands_load_no_verifier(self, argv):
+        modules, _ = _fresh_cli(*argv)
+        assert "chebotarev.assembly" in modules
+        assert "chebotarev.verifier" not in modules
+
+    def test_public_names_resolve_lazily(self):
+        code = ("import importlib, json, chebotarev\n"
+                "listed = sorted(n for n in dir(chebotarev) if not n.startswith('_'))\n"
+                "wrong = [n for n in chebotarev.__all__ if getattr(chebotarev, n) is not (\n"
+                "    importlib.import_module('chebotarev.' + n) if n in chebotarev._EXPORTS else\n"
+                "    getattr(importlib.import_module('chebotarev.' + chebotarev._SUBMODULE_OF[n]),"
+                " n))]\n"
+                "star = {}\n"
+                "exec('from chebotarev import *', star)\n"
+                "print(json.dumps([listed, sorted(star.keys() - {'__builtins__'}), wrong]))")
+        listed, star, wrong = _fresh_python(code)
+        assert listed == PUBLIC_NAMES
+        assert star == PUBLIC_NAMES
+        assert wrong == []
+
+    def test_unknown_attribute(self):
+        import chebotarev
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            chebotarev.no_such_name  # noqa: B018
+
+    def test_parser_choices_match_assembly(self):
+        from chebotarev import assembly
+
+        assert cli.TABLE_IDS == assembly.TABLE_IDS
+        assert list(cli.BOUND_FORMS) == [f.value for f in BoundForm]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+    def test_one_blas_thread_unless_exported(self):
+        if not _numpy_uses_openblas() or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs numpy on OpenBLAS and two usable CPUs")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        assert _fresh_cli("tables", "--id", "4", env=env)[1] == 1
+        env["OPENBLAS_NUM_THREADS"] = "2"  # the user's value wins
+        assert _fresh_cli("tables", "--id", "4", env=env)[1] == 2

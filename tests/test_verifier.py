@@ -1,6 +1,7 @@
 """Exact psi_C for quadratic fields against brute-force oracles."""
 
 import math
+import random
 import subprocess
 import sys
 
@@ -101,6 +102,43 @@ class TestFundamentalDiscriminants:
                 D % 4 == 0 and (D // 4) % 4 in (2, 3) and squarefree(D // 4)
             )
             assert is_fundamental_discriminant(D) == expected
+
+    def test_squarefree_matches_sieve(self):
+        N = 10**5
+        squarefree = [True] * N
+        squarefree[0] = False
+        for d in range(2, math.isqrt(N) + 1):
+            for m in range(d * d, N, d * d):
+                squarefree[m] = False
+        assert [verifier._squarefree(n) for n in range(N)] == squarefree
+
+    def test_squarefree_products_above_the_cube_root(self):
+        # the trial division stops at the cube root, so what decides these
+        # is the perfect-square test on the cofactor
+        rng = random.Random(20261018)
+
+        def prime(lo, hi):
+            while not is_prime(p := rng.randrange(lo, hi)):
+                pass
+            return p
+
+        for _ in range(200):
+            p, q = prime(10**4, 10**5), prime(2, 10**5)
+            if p == q:
+                continue
+            for n in (p * q, p * q * prime(2, 10**3)):
+                assert verifier._squarefree(n) and verifier._squarefree(-n)
+            for n in (p * p, p * p * q, q * q * p):
+                assert not verifier._squarefree(n)
+
+    def test_discriminant_cap(self):
+        cap = verifier.MAX_ABS_DISC
+        assert is_fundamental_discriminant(cap - 11)  # a prime, 1 mod 4
+        for D in (cap + 9, -(cap + 3)):
+            with pytest.raises(DomainError, match="at most"):
+                is_fundamental_discriminant(D)
+            with pytest.raises(DomainError, match="at most"):
+                QuadraticField(D)
 
 
 class TestKronecker:

@@ -1,6 +1,8 @@
 """Zero-counting coefficients, the density kernel, and threshold pairs."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +139,20 @@ class TestAlpha0Window:
                 argmins.add(i)
         assert 99_999 in argmins
         assert any(zeros._COARSE_IDX[-2] < i < 99_999 for i in argmins)
+
+    def test_grid_and_coarse_indices(self):
+        grid = zeros._eps_grid()
+        assert np.array_equal(grid, np.geomspace(1e-3, 50.0, 100_000))
+        assert not grid.flags.writeable
+        assert zeros._COARSE_IDX == np.linspace(0, 99_999, 257).astype(np.intp).tolist()
+
+    def test_import_builds_no_grid(self):
+        code = ("import sys\n"
+                "from chebotarev import zeros\n"
+                "print('numpy' in sys.modules, zeros._eps_grid.cache_info().currsize)\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == ["False", "0"]
 
     def test_lower_grid_edge(self):
         # no real row puts the argmin on the lower edge (B grows like
