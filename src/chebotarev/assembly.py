@@ -9,8 +9,8 @@ m = 1 and anchors omega0 = 1, T0 = t0 = 40:
                   ->  C-family (classical shape)
                   ->  (a_0, b_0, c_0) absolute-constant corollaries.
 
-Lower modules keep general m; everything here fixes m = 1, where the decay
-exponent 2 sqrt(m)/((m+1) sqrt(R2)) is maximal.
+The smoothing, bessel and invariants functions keep general m; TuningConfig
+fixes m = 1, where the decay exponent 2 sqrt(m)/((m+1) sqrt(R2)) is maximal.
 
 Two unrelated quantities share the letter c0 in the literature and get
 distinct names here: C_CURLY_N0 = max(1/(4e), 2^(-3/2)) sits inside the
@@ -30,7 +30,7 @@ from . import reference_values as pv
 from .constants import TuningConfig, compute_ells
 from .errors import DomainError, SearchError
 from .invariants import FieldParams, lambda_0, lambda_L, minkowski_lookup
-from .zeros import R2, _bisect
+from .zeros import R2, ZeroFreeConstants, _bisect
 
 __all__ = [
     "C_CURLY_N0",
@@ -123,14 +123,13 @@ class Delta0Mode(enum.Enum):
 
 
 @lru_cache(maxsize=None)
-def standard_config(n0: int, beta0_present: bool, delta0: float | None = None) -> TuningConfig:
-    """Standard configuration on a table row (n0 in 2..21); delta0
-    defaults to the published per-row value."""
+def standard_config(n0: int, beta0_present: bool) -> TuningConfig:
+    """Standard configuration on a table row (n0 in 2..21), with the
+    published per-row delta0."""
     if not 2 <= n0 <= 21:
         raise DomainError(f"n0 must be a table row in 2..21, got {n0}")
-    if delta0 is None:
-        delta0 = pv.DELTA0[(n0, beta0_present)]
-    return TuningConfig.standard(n0, delta0, beta0_present)
+    return TuningConfig(minkowski_lookup(n0), pv.DELTA0[(n0, beta0_present)],
+                        ZeroFreeConstants(beta0_present))
 
 
 def curly_N0(cfg: TuningConfig, Y0: float) -> float:
@@ -267,22 +266,20 @@ def choose_delta0(
 ) -> float:
     """Pick the ramp-width ceiling delta0 for a table row.
 
-    REPRODUCE validates the given delta0 (must not exceed 1 - sqrt(2)/x0)
-    and returns it unchanged; with no value given the published one is
-    used.  SEARCH enforces n0 <= N_0 < n0 + 1 for rows up to 20 (N_0 is
-    strictly increasing in delta0, so the admissible set is an interval,
-    found by bisection) and takes its lower end, which minimizes
-    min(max(E1, E2), E3~) over the interval: that objective is increasing
-    there on every row, as
+    REPRODUCE validates the given delta0 on a table row in 2..21 (it must
+    not exceed 1 - sqrt(2)/x0) and returns it unchanged; with no value
+    given the published one is used.  SEARCH enforces n0 <= N_0 < n0 + 1
+    for rows up to 20 (N_0 is strictly increasing in delta0, so the
+    admissible set is an interval, found by bisection) and takes its
+    lower end, which minimizes min(max(E1, E2), E3~) over the interval:
+    that objective is increasing there on every row, as
     tests/test_assembly.py::TestChooseDelta0::test_search_objective_increasing
     checks.  The top row instead pushes N_0 as high as possible:
     delta0 = min(1 - sqrt(2)/x0, 0.99999).
     """
     if mode is Delta0Mode.REPRODUCE:
-        if delta0 is None:
-            return standard_config(n0, beta0_present).delta0  # checks the row too
-        TuningConfig.standard(n0, delta0, beta0_present)  # validates the ceiling
-        return delta0
+        cfg = standard_config(n0, beta0_present)  # checks the row
+        return cfg.delta0 if delta0 is None else cfg.with_delta0(delta0).delta0
     if n0 >= 21:
         return min(_delta0_ceiling(standard_config(n0, beta0_present)), 0.99999)
     return _delta0_interval(n0, beta0_present)[0]
@@ -303,9 +300,10 @@ def _a0_peak_value(C: float, A: float, B: float, D: float, b0: float, c0: float,
     return C * M ** (2.0 * A / 3.0) / c0 ** (A / 3.0) * math.exp(p * math.log(y) - K * y ** (1.0 / 3.0))
 
 
-def classical_a0_grid(
-    C: float, A: float, B: float, D: float, b0: float, c0: float, M: float, n0: int, points: int = 1_000_000
-) -> float:
+_A0_GRID_POINTS = 1_000_000  # geometric grid of classical_a0_grid
+
+
+def classical_a0_grid(C: float, A: float, B: float, D: float, b0: float, c0: float, M: float, n0: int) -> float:
     """Grid-search replacement for the closed-form maximizer (oracle)."""
     import numpy as np
 
@@ -313,7 +311,7 @@ def classical_a0_grid(
     p = A / 3.0 + B
     y_min = c0 * n0**3 / (M * M)
     y_hi = max((3.0 * p / K) ** 3 * 10.0, y_min * 10.0)
-    y = np.geomspace(y_min, y_hi, points)
+    y = np.geomspace(y_min, y_hi, _A0_GRID_POINTS)
     vals = p * np.log(y) - K * np.cbrt(y)
     return C * M ** (2.0 * A / 3.0) / c0 ** (A / 3.0) * math.exp(float(np.max(vals)))
 

@@ -8,6 +8,10 @@ error reads
 
     delta/a_beta0 + Y_0 delta^(-m) lambda_L (log x) e^(-2 sqrt(m log x/(R2 n_L))).
 
+Every constant is built at smoothing order m = 1 with anchors omega0 = 1
+and T0 = t0 = 40, as in the paper; TuningConfig holds these as class
+constants, so a configuration is just a row, a beta_0 state and delta0.
+
 x_0 here is astronomically large (log x_0 is the stored quantity); every
 factor of the form x_0^(-a) e^(c sqrt(log x_0)) is therefore evaluated as
 exp(-a log x_0 + c sqrt(log x_0)) so that underflow to zero happens in one
@@ -17,11 +21,12 @@ well-understood place instead of silently inside a product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 from .bessel import ell6, ell7
 from .errors import DomainError
-from .invariants import MinkowskiRow, minkowski_lookup
+from .invariants import MinkowskiRow
 from .smoothing import m_bound
 from .zeros import (
     ALPHA1,
@@ -51,76 +56,32 @@ def alpha_coefficient(M: float, t0: float) -> float:
 class TuningConfig:
     """Frozen parameter set for one Minkowski row and one beta_0 state.
 
-    alpha and x0_log are fully determined by (row, m, t0); the constructor
-    recomputes and pins them.  delta0 must leave room below the sandwich
-    ceiling 1 - sqrt(2)/x_0.
+    m, omega0, t0 and T0 are the fixed values of the module docstring;
+    alpha and x0_log follow from the row and are set on construction.
+    delta0 must leave room below the sandwich ceiling 1 - sqrt(2)/x_0.
     """
 
-    m: int
-    delta0: float
-    omega0: float
-    t0: float
-    T0: float
-    alpha: float
-    x0_log: float
+    m: ClassVar[int] = 1
+    omega0: ClassVar[float] = 1.0
+    t0: ClassVar[float] = 40.0
+    T0: ClassVar[float] = 40.0
+
     row: MinkowskiRow
+    delta0: float
     zf: ZeroFreeConstants
+    alpha: float = field(init=False)
+    x0_log: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
-        if not (self.T0 >= self.t0 > 4):
-            raise DomainError(f"need T0 >= t0 > 4, got T0={self.T0}, t0={self.t0}")
-        expected_alpha = alpha_coefficient(self.row.M, self.t0)
-        if not math.isclose(self.alpha, expected_alpha, rel_tol=1e-12):
-            raise DomainError(f"alpha={self.alpha} inconsistent; expected {expected_alpha}")
-        expected_logx0 = self.alpha * self.m * self.row.n0 / (self.row.M**2)
-        if not math.isclose(self.x0_log, expected_logx0, rel_tol=1e-12):
-            raise DomainError(f"x0_log={self.x0_log} inconsistent; expected {expected_logx0}")
+        alpha = alpha_coefficient(self.row.M, self.t0)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "x0_log", alpha * self.m * self.row.n0 / (self.row.M**2))
         ceiling = 1.0 - math.sqrt(2.0) * math.exp(-self.x0_log)
         if not 0.0 < self.delta0 <= ceiling or self.delta0 >= 1.0:
             raise DomainError(f"delta0={self.delta0} outside (0, 1 - sqrt(2)/x0]")
 
-    @classmethod
-    def standard(
-        cls,
-        n0: int,
-        delta0: float,
-        beta0_present: bool,
-        *,
-        m: int = 1,
-        omega0: float = 1.0,
-        t0: float = 40.0,
-        T0: float = 40.0,
-    ) -> "TuningConfig":
-        """Config with m=1, omega0=1, T0=t0=40 on the given table row."""
-        row = minkowski_lookup(n0)
-        alpha = alpha_coefficient(row.M, t0)
-        x0_log = alpha * m * row.n0 / (row.M**2)
-        return cls(
-            m=m,
-            delta0=delta0,
-            omega0=omega0,
-            t0=t0,
-            T0=T0,
-            alpha=alpha,
-            x0_log=x0_log,
-            row=row,
-            zf=ZeroFreeConstants(beta0_present),
-        )
-
     def with_delta0(self, delta0: float) -> "TuningConfig":
-        return TuningConfig(
-            m=self.m,
-            delta0=delta0,
-            omega0=self.omega0,
-            t0=self.t0,
-            T0=self.T0,
-            alpha=self.alpha,
-            x0_log=self.x0_log,
-            row=self.row,
-            zf=self.zf,
-        )
+        return replace(self, delta0=delta0)
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,6 @@ class MinkowskiRow:
     log_d0: float
     M: float
 
-    @property
-    def inv_M(self) -> float:
-        """1/M, a lower bound for log Delta_L on this row."""
-        return 1.0 / self.M
-
 
 def _row(n0: int, d0: float, M: float) -> MinkowskiRow:
     return MinkowskiRow(n0, math.log(d0), M)
@@ -138,10 +133,6 @@ class FieldParams:
     @property
     def log_delta_L(self) -> float:
         return self.log_dL / self.n_L
-
-    @property
-    def row(self) -> MinkowskiRow:
-        return minkowski_lookup(self.n_L)
 
 
 def lambda_L(field: FieldParams, m: int) -> float:

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .invariants import FieldParams
 
 __all__ = [
     "DEFAULT_SIEVE_LIMIT",
@@ -200,9 +199,6 @@ class QuadraticField:
     def log_dL(self) -> float:
         return math.log(abs(self.D))
 
-    def field_params(self) -> FieldParams:
-        return FieldParams(2, self.log_dL)
-
     def splitting(self, p: int) -> int:
         return kronecker(self.D, p)
 
@@ -225,7 +221,9 @@ class EquidistRow:
     psi_nontrivial: float
     ec_identity: float
     ec_nontrivial: float
-    unramified_total: float  # sum of log p over ALL unramified p^m <= x
+    # sum of log p over all unramified p^m <= x, from the same per-class
+    # integer sums as the two psi values, so not an independent count
+    unramified_total: float
 
 
 @functools.cache
@@ -361,10 +359,13 @@ def equidist_report(
 ) -> list[EquidistRow]:
     """Evaluate both classes on a grid of x values.
 
-    unramified_total recomputes sum(log p) over all unramified prime
-    powers independently of the class split, so
-    psi_identity + psi_nontrivial = unramified_total is a nontrivial
-    cross-check on every row.
+    unramified_total is sum(log p) over all unramified prime powers.  The
+    sweep adds it up from the same per-class integer sums as the two psi
+    values (split + inert), so psi_identity + psi_nontrivial -
+    unramified_total, the CLI's partition_check, shows only float rounding
+    and checks nothing independently.  The independent check is
+    tests/test_verifier.py::TestEquidistReport::test_partition_against_chebyshev_psi,
+    which compares unramified_total with the Chebyshev psi from trial division.
     """
     return [
         EquidistRow(x=x, psi_identity=ident, psi_nontrivial=nontriv,

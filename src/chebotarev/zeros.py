@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from .errors import DomainError, NumericError
 from .invariants import FieldParams, MinkowskiRow
@@ -84,8 +84,8 @@ class ZeroFreeConstants:
 
     beta0_present: bool
 
-    R1: float = R1
-    R2: float = R2
+    R1: ClassVar[float] = R1
+    R2: ClassVar[float] = R2
 
     @property
     def alpha4(self) -> float:
@@ -134,14 +134,17 @@ def _count_bound_vec(T: float, eps: np.ndarray, M: float, log_d0: float) -> np.n
     return c1 + c2 * M + c3 / log_d0
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
+_GOLDEN_TOL = 1e-12  # relative width at which _golden_min stops
+
+
+def _golden_min(f, lo: float, hi: float) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     invphi2 = (3.0 - math.sqrt(5.0)) / 2.0
     a, b = lo, hi
     h = b - a
     c, d = a + invphi2 * h, a + invphi * h
     yc, yd = f(c), f(d)
-    while h > tol * max(1.0, abs(a) + abs(b)):
+    while h > _GOLDEN_TOL * max(1.0, abs(a) + abs(b)):
         h *= invphi
         if yc < yd:
             b, d, yd = d, c, yc

@@ -131,10 +131,13 @@ class TestChooseDelta0:
         with pytest.raises(DomainError):
             choose_delta0(2, True, Delta0Mode.REPRODUCE, 0.0)
 
-    @pytest.mark.parametrize("n0", [1, 22])
+    @pytest.mark.parametrize("n0", [1, 22, 40])
     def test_reproduce_default_rejects_row_outside_table(self, n0):
-        with pytest.raises(DomainError):
-            choose_delta0(n0, True, Delta0Mode.REPRODUCE)
+        # with or without an explicit delta0, as SEARCH and standard_config do
+        for present in (True, False):
+            for delta0 in (None, 0.5, 0.9):
+                with pytest.raises(DomainError):
+                    choose_delta0(n0, present, Delta0Mode.REPRODUCE, delta0)
 
     def test_search_near_published(self):
         for n0, present in SEARCH_ROWS:

@@ -427,7 +427,7 @@ class TestStartUp:
     def test_verify_loads_only_the_verifier(self):
         modules, _ = _fresh_cli("verify", "--disc", "5", "--x", "100")
         assert modules == {"numpy", "chebotarev", "chebotarev.cli", "chebotarev.errors",
-                           "chebotarev.invariants", "chebotarev.verifier"}
+                           "chebotarev.verifier"}
 
     @pytest.mark.parametrize("argv", [
         ["tables", "--id", "4"],

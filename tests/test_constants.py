@@ -1,11 +1,11 @@
 """Low-index constants ell_0..ell_5, tuning configurations, and Y_0."""
 
+import dataclasses
 import math
 
 import pytest
 
 from chebotarev import (
-    DomainError,
     TuningConfig,
     compute_ells,
     ell_low,
@@ -75,17 +75,32 @@ def ell_low_retranscribed(cfg: TuningConfig) -> tuple[float, ...]:
 
 class TestTuningConfig:
     def test_standard_pins_alpha_and_x0(self):
+        for n0 in range(2, 22):
+            for present in (True, False):
+                cfg = standard_config(n0, present)
+                M = cfg.row.M
+                assert (cfg.row.n0, cfg.zf.beta0_present) == (n0, present)
+                assert math.isclose(
+                    cfg.alpha,
+                    max(
+                        4 * R1**2 / R2 * (math.log(4) * M + 1) ** 2,
+                        4 * R2 * (math.log(40.0) * M + 1) ** 2,
+                    ),
+                    rel_tol=1e-14,
+                ), n0
+                assert math.isclose(cfg.x0_log, cfg.alpha * n0 / M**2, rel_tol=1e-14), n0
+                # params prints these, so their types matter too
+                fixed = (cfg.m, cfg.omega0, cfg.t0, cfg.T0)
+                assert fixed == (1, 1.0, 40.0, 40.0)
+                assert [type(v) for v in fixed] == [int, float, float, float]
+
+    def test_only_row_delta0_and_state_are_settable(self):
         cfg = standard_config(2, True)
-        M = cfg.row.M
-        assert math.isclose(
-            cfg.alpha,
-            max(
-                4 * R1**2 / R2 * (math.log(4) * M + 1) ** 2,
-                4 * R2 * (math.log(40.0) * M + 1) ** 2,
-            ),
-            rel_tol=1e-14,
-        )
-        assert math.isclose(cfg.x0_log, cfg.alpha * 2 / M**2, rel_tol=1e-14)
+        assert [f.name for f in dataclasses.fields(cfg) if f.init] == ["row", "delta0", "zf"]
+        assert [f.name for f in dataclasses.fields(cfg.zf)] == ["beta0_present"]
+        moved = cfg.with_delta0(0.5)
+        assert (moved.delta0, moved.alpha, moved.x0_log, moved.row, moved.zf) == (
+            0.5, cfg.alpha, cfg.x0_log, cfg.row, cfg.zf)
 
     def test_alpha_anchor(self):
         from chebotarev.reference_values import matches_printed
@@ -95,22 +110,6 @@ class TestTuningConfig:
         # both branches by hand: 130.707*(1.38629*M+1)^2 = 1623.2 loses to
         # 48.9644*(3.68888*M+1)^2 = 2914.8225
         assert math.isclose(alpha, 2914.8225, rel_tol=1e-7)
-
-    def test_inconsistent_alpha_rejected(self):
-        cfg = standard_config(2, True)
-        with pytest.raises(DomainError):
-            TuningConfig(
-                m=1, delta0=cfg.delta0, omega0=1.0, t0=40.0, T0=40.0,
-                alpha=cfg.alpha * 1.01, x0_log=cfg.x0_log, row=cfg.row, zf=cfg.zf,
-            )
-
-    def test_T0_ordering_enforced(self):
-        cfg = standard_config(2, True)
-        with pytest.raises(DomainError):
-            TuningConfig(
-                m=1, delta0=cfg.delta0, omega0=1.0, t0=40.0, T0=39.0,
-                alpha=cfg.alpha, x0_log=cfg.x0_log, row=cfg.row, zf=cfg.zf,
-            )
 
 
 class TestEllLow:
