@@ -35,8 +35,8 @@ _EXPORTS = {
     "verifier": ("ClassCount", "ConjugacyClass", "QuadraticField", "equidist_report",
                  "is_fundamental_discriminant", "kronecker", "psi_C_exact"),
     "zeros": ("ALPHA1", "ALPHA2", "ALPHA3", "R1", "R2", "P_E_L", "Q_kernel",
-              "Q_kernel_partial_u", "ZeroFreeConstants", "alpha0", "alpha0_prime", "c123",
-              "solve_omega0", "solve_t0", "window_coeffs"),
+              "Q_kernel_partial_u", "alpha0", "alpha0_prime", "c123", "solve_omega0",
+              "solve_t0", "window_coeffs"),
 }
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

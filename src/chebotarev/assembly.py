@@ -9,6 +9,12 @@ m = 1 and anchors omega0 = 1, T0 = t0 = 40:
                   ->  C-family (classical shape)
                   ->  (a_0, b_0, c_0) absolute-constant corollaries.
 
+FinalConstants is the one record of that chain: it carries its
+TuningConfig and its ell's next to the E/D/C constants, so every consumer
+(bound evaluation, the tables, the corollaries, the CLI's params) takes
+that record alone.  _finals_cached keeps one record per table row and
+beta_0 state for the process, which warm bound evaluation reads.
+
 The smoothing, bessel and invariants functions keep general m; TuningConfig
 fixes m = 1, where the decay exponent 2 sqrt(m)/((m+1) sqrt(R2)) is maximal.
 
@@ -25,12 +31,13 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from . import reference_values as pv
-from .constants import TuningConfig, compute_ells
+from .constants import EllConstants, TuningConfig, compute_ells
 from .errors import DomainError, SearchError
 from .invariants import FieldParams, lambda_0, lambda_L, minkowski_lookup
-from .zeros import R2, ZeroFreeConstants, _bisect
+from .zeros import R2, _bisect
 
 __all__ = [
     "C_CURLY_N0",
@@ -69,7 +76,8 @@ B0_REFINED = 0.25
 
 @dataclass(frozen=True)
 class FinalConstants:
-    """Theorem-level constants for one configuration (m = 1).
+    """Theorem-level constants for one configuration (m = 1), with the
+    configuration and the ell's they come from.
 
     E1/E2 govern the general error term, E3 the refined term available for
     degrees up to N0, E3_tilde = E3/sqrt(n0 lambda0) its re-expression on
@@ -79,9 +87,8 @@ class FinalConstants:
     (refined).
     """
 
-    alpha: float
-    x0_log: float
-    Y0: float
+    cfg: TuningConfig
+    ells: EllConstants
     E1: float
     E2: float
     E3: float
@@ -96,6 +103,18 @@ class FinalConstants:
     C3_tilde: float
     exp_coeff_full: float
     exp_coeff_half: float
+
+    @property
+    def alpha(self) -> float:
+        return self.cfg.alpha
+
+    @property
+    def x0_log(self) -> float:
+        return self.cfg.x0_log
+
+    @property
+    def Y0(self) -> float:
+        return self.ells.Y0
 
     @property
     def max_E12(self) -> float:
@@ -122,14 +141,12 @@ class Delta0Mode(enum.Enum):
     SEARCH = "search"
 
 
-@lru_cache(maxsize=None)
 def standard_config(n0: int, beta0_present: bool) -> TuningConfig:
     """Standard configuration on a table row (n0 in 2..21), with the
     published per-row delta0."""
     if not 2 <= n0 <= 21:
         raise DomainError(f"n0 must be a table row in 2..21, got {n0}")
-    return TuningConfig(minkowski_lookup(n0), pv.DELTA0[(n0, beta0_present)],
-                        ZeroFreeConstants(beta0_present))
+    return TuningConfig(minkowski_lookup(n0), pv.DELTA0[(n0, beta0_present)], beta0_present)
 
 
 def curly_N0(cfg: TuningConfig, Y0: float) -> float:
@@ -146,7 +163,7 @@ def curly_N0(cfg: TuningConfig, Y0: float) -> float:
     num = cfg.delta0 ** ((m + 1) / 3.0) * M * math.exp(
         (m / (3.0 * M)) * (2.0 * math.sqrt(cfg.alpha) / math.sqrt(R2) - 1.0)
     )
-    return num / (m * (cfg.zf.a_beta0 * C_CURLY_N0 * cfg.alpha * Y0) ** (1.0 / 3.0))
+    return num / (m * (cfg.a_beta0 * C_CURLY_N0 * cfg.alpha * Y0) ** (1.0 / 3.0))
 
 
 def _k_max(cfg: TuningConfig) -> float:
@@ -170,7 +187,7 @@ def final_constants(cfg: TuningConfig, k: int = 1) -> FinalConstants:
     m = cfg.m
     M = cfg.row.M
     n0 = cfg.row.n0
-    ab = cfg.zf.a_beta0
+    ab = cfg.a_beta0
     alpha = cfg.alpha
     frac = m / (m + 1.0)
     Yfrac = Y0 ** (1.0 / (m + 1.0))
@@ -199,9 +216,8 @@ def final_constants(cfg: TuningConfig, k: int = 1) -> FinalConstants:
     C3_tilde = C3 * alpha ** (-0.25) * n0 ** (-1.5) * math.sqrt(M) * math.exp(-1.0 / (2.0 * M))
 
     return FinalConstants(
-        alpha=alpha,
-        x0_log=cfg.x0_log,
-        Y0=Y0,
+        cfg=cfg,
+        ells=ells,
         E1=E1,
         E2=E2,
         E3=E3,
@@ -221,6 +237,7 @@ def final_constants(cfg: TuningConfig, k: int = 1) -> FinalConstants:
 
 @lru_cache(maxsize=None)
 def _finals_cached(n0: int, beta0_present: bool) -> FinalConstants:
+    """The record of a table row and beta_0 state, built once per process."""
     return final_constants(standard_config(n0, beta0_present))
 
 
@@ -316,16 +333,11 @@ def classical_a0_grid(C: float, A: float, B: float, D: float, b0: float, c0: flo
     return C * M ** (2.0 * A / 3.0) / c0 ** (A / 3.0) * math.exp(float(np.max(vals)))
 
 
-def classical_constants(
-    cfg: TuningConfig,
-    branch: ClassicalBranch,
-    b0: float,
-    finals: FinalConstants | None = None,
-) -> ClassicalConstants:
-    """Absolute constants (a0, b0, c0) with
+def classical_constants(f: FinalConstants, branch: ClassicalBranch, b0: float) -> ClassicalConstants:
+    """Absolute constants (a0, b0, c0) of the configuration behind f, with
     E_C(x) <= x^(beta0-1)/beta0 + a0 e^(-b0 sqrt(log x/n_L)) for
     log x >= c0 n_L (log d_L)^2."""
-    f = finals if finals is not None else final_constants(cfg)
+    cfg = f.cfg
     c0 = cfg.alpha / cfg.row.n0**2
     if branch is ClassicalBranch.REFINED:
         A, B, D, C = 0.75, 0.75, f.exp_coeff_half, f.C3
@@ -395,19 +407,18 @@ def bound_eval(
 def _bound_report(
     field: FieldParams, log_x: float, beta0_present: bool, form: BoundForm
 ) -> BoundReport:
-    n0 = min(field.n_L, 21)
-    cfg = standard_config(n0, beta0_present)
-    f = _finals_cached(n0, beta0_present)
+    f = _finals_cached(min(field.n_L, 21), beta0_present)
+    cfg = f.cfg
     lam = lambda_L(field, cfg.m)
     n = field.n_L
     refined = n <= f.N0
 
     if form is BoundForm.CLASSICAL_ABS:
-        cc = classical_constants(cfg, ClassicalBranch.FULL, B0_FULL, f)
+        cc = classical_constants(f, ClassicalBranch.FULL, B0_FULL)
         threshold = cc.c0 * n * field.log_dL**2
         details = {"a0": cc.a0, "b0": cc.b0, "c0": cc.c0}
         if refined:
-            rr = classical_constants(cfg, ClassicalBranch.REFINED, B0_REFINED, f)
+            rr = classical_constants(f, ClassicalBranch.REFINED, B0_REFINED)
             details.update({"a0_refined": rr.a0, "b0_refined": rr.b0})
         applicable = log_x >= threshold
         eps = None
@@ -563,16 +574,6 @@ def _table3() -> Table:
                  tuple(labels), tuple(comp), tuple(printed), None)
 
 
-def _refined_cells(f: FinalConstants, cfg: TuningConfig) -> tuple[float, ...]:
-    cc = classical_constants(cfg, ClassicalBranch.REFINED, B0_REFINED, f)
-    return cc.a0, cc.b0, cc.c0
-
-
-def _full_cells(f: FinalConstants, cfg: TuningConfig) -> tuple[float, ...]:
-    cc = classical_constants(cfg, ClassicalBranch.FULL, B0_FULL, f)
-    return cc.a0, cc.c0
-
-
 def _split_tail(cells: tuple) -> tuple[tuple, tuple, tuple]:
     """(shared..., present block, absent block)"""
     return cells[:-2], cells[-2], cells[-1]
@@ -586,13 +587,13 @@ def _split_a0(cells: tuple) -> tuple[tuple, tuple, tuple]:
 @dataclass(frozen=True)
 class _SplitTable:
     """A table whose rows hold cells shared by both exceptional-zero states,
-    then one block of cells per state."""
+    then one block of cells per state, each read off that state's record."""
 
     reference: dict[int, tuple]  # printed rows by n0
     split: Callable[[tuple], tuple[tuple, tuple, tuple]]  # -> shared, present, absent
     shared: tuple[tuple[str, str], ...]  # (column, FinalConstants attribute)
     state_columns: tuple[str, ...]
-    state_cells: Callable[[FinalConstants, TuningConfig], tuple[float, ...]]
+    state_cells: Callable[[FinalConstants], tuple[float, ...]]
     first: str = "n0"
     rel_tol: float | None = None
     extra_rows: Callable[[tuple[bool, ...]], list[tuple[str, list, list]]] | None = None
@@ -606,8 +607,7 @@ def _table7_range_rows(use: tuple[bool, ...]) -> list[tuple[str, list, list]]:
             continue
         branch = ClassicalBranch(branch_s)
         b0 = B0_REFINED if branch is ClassicalBranch.REFINED else B0_FULL
-        cc = classical_constants(standard_config(21, present), branch, b0,
-                                 _finals_cached(21, present))
+        cc = classical_constants(_finals_cached(21, present), branch, b0)
         crow: list[float] = [math.nan] * (len(use) * 3)
         prow: list[str | None] = [None] * (len(use) * 3)
         off = use.index(present) * 3
@@ -620,18 +620,22 @@ def _table7_range_rows(use: tuple[bool, ...]) -> list[tuple[str, list, list]]:
 _SPLIT_TABLES = {
     4: _SplitTable(pv.TABLE4, _split_tail, (("alpha", "alpha"), ("log_x0", "x0_log")),
                    ("delta0", "max(E1,E2)", "N0", "E3", "E3~"),
-                   lambda f, cfg: (cfg.delta0, f.max_E12, f.N0, f.E3, f.E3_tilde)),
+                   attrgetter("cfg.delta0", "max_E12", "N0", "E3", "E3_tilde")),
     5: _SplitTable(pv.TABLE5, _split_tail, (("alpha", "alpha"),),
                    ("D12", "N0", "D3", "D3~"),
-                   lambda f, _: (f.D12, f.N0, f.D3, f.D3_tilde)),
+                   attrgetter("D12", "N0", "D3", "D3_tilde")),
     6: _SplitTable(pv.TABLE6, _split_tail,
                    (("alpha", "alpha"), ("exp_full", "exp_coeff_full"),
                     ("exp_half", "exp_coeff_half")),
                    ("N0", "C12", "C3", "C3~"),
-                   lambda f, _: (f.N0, f.C12, f.C3, f.C3_tilde)),
-    7: _SplitTable(pv.TABLE7_PER_DEGREE, _split_a0, (), ("a0", "b0", "c0"), _refined_cells,
+                   attrgetter("N0", "C12", "C3", "C3_tilde")),
+    7: _SplitTable(pv.TABLE7_PER_DEGREE, _split_a0, (), ("a0", "b0", "c0"),
+                   lambda f: attrgetter("a0", "b0", "c0")(
+                       classical_constants(f, ClassicalBranch.REFINED, B0_REFINED)),
                    "n_L", pv.GUARD_TABLES_REL_TOL, _table7_range_rows),
-    8: _SplitTable(pv.TABLE8, _split_a0, (), ("a0", "c0"), _full_cells,
+    8: _SplitTable(pv.TABLE8, _split_a0, (), ("a0", "c0"),
+                   lambda f: attrgetter("a0", "c0")(
+                       classical_constants(f, ClassicalBranch.FULL, B0_FULL)),
                    "n0", pv.GUARD_TABLES_REL_TOL),
 }
 
@@ -642,11 +646,12 @@ def _split_table(table_id: int, beta0: str) -> Table:
     rows = []
     for n0, cells in spec.reference.items():
         shared, present_cells, absent_cells = spec.split(cells)
-        # shared cells are read off the present state
-        crow = [getattr(_finals_cached(n0, True), attr) for _, attr in spec.shared]
+        finals = [_finals_cached(n0, present) for present in use]
+        # the shared cells depend on the row alone: read them off the first state
+        crow = [getattr(finals[0], attr) for _, attr in spec.shared]
         prow = list(shared)
-        for present in use:
-            crow += spec.state_cells(_finals_cached(n0, present), standard_config(n0, present))
+        for present, f in zip(use, finals):
+            crow += spec.state_cells(f)
             prow += present_cells if present else absent_cells
         rows.append((str(n0), crow, prow))
     if spec.extra_rows is not None:
@@ -704,14 +709,9 @@ def corollary_constants() -> dict[str, dict[str, float]]:
     degree ceiling of the relevant row.
     """
     f2 = _finals_cached(2, True)
-    cfg2 = standard_config(2, True)
-    cfg21 = standard_config(21, True)
-    f21 = _finals_cached(21, True)
-
     worst_exp_half = min(_finals_cached(n0, True).exp_coeff_half for n0 in pv.TABLE6)
-
-    full2 = classical_constants(cfg2, ClassicalBranch.FULL, B0_FULL, f2)
-    refined21 = classical_constants(cfg21, ClassicalBranch.REFINED, B0_REFINED, f21)
+    full2 = classical_constants(f2, ClassicalBranch.FULL, B0_FULL)
+    refined21 = classical_constants(_finals_cached(21, True), ClassicalBranch.REFINED, B0_REFINED)
 
     return {
         "exp": {

@@ -189,12 +189,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
-    from . import assembly
-    from .constants import compute_ells
+    from .assembly import final_constants, standard_config
 
-    cfg = assembly.standard_config(args.n0, args.beta0 == "present")
-    ells = compute_ells(cfg)
-    finals = assembly.final_constants(cfg)
+    finals = final_constants(standard_config(args.n0, args.beta0 == "present"))
+    cfg, ells = finals.cfg, finals.ells
     payload = {
         "n0": cfg.row.n0,
         "M": cfg.row.M,

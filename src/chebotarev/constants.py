@@ -11,6 +11,8 @@ error reads
 Every constant is built at smoothing order m = 1 with anchors omega0 = 1
 and T0 = t0 = 40, as in the paper; TuningConfig holds these as class
 constants, so a configuration is just a row, a beta_0 state and delta0.
+The beta_0 state also fixes the zero-free-region values a_beta0 and
+alpha4, which TuningConfig derives from it.
 
 x_0 here is astronomically large (log x_0 is the stored quantity); every
 factor of the form x_0^(-a) e^(c sqrt(log x_0)) is therefore evaluated as
@@ -28,16 +30,7 @@ from .bessel import ell6, ell7
 from .errors import DomainError
 from .invariants import MinkowskiRow
 from .smoothing import m_bound
-from .zeros import (
-    ALPHA1,
-    ALPHA2,
-    ALPHA3,
-    R1,
-    R2,
-    ZeroFreeConstants,
-    alpha0,
-    alpha0_prime,
-)
+from .zeros import ALPHA1, ALPHA2, ALPHA3, R1, R2, alpha0, alpha0_prime
 
 __all__ = ["TuningConfig", "EllConstants", "alpha_coefficient", "ell_low", "compute_ells", "y0", "y0_terms"]
 
@@ -59,6 +52,8 @@ class TuningConfig:
     m, omega0, t0 and T0 are the fixed values of the module docstring;
     alpha and x0_log follow from the row and are set on construction.
     delta0 must leave room below the sandwich ceiling 1 - sqrt(2)/x_0.
+    beta0_present says whether the exceptional real zero beta_0 may exist;
+    a_beta0 and alpha4 follow from it.
     """
 
     m: ClassVar[int] = 1
@@ -68,7 +63,7 @@ class TuningConfig:
 
     row: MinkowskiRow
     delta0: float
-    zf: ZeroFreeConstants
+    beta0_present: bool
     alpha: float = field(init=False)
     x0_log: float = field(init=False)
 
@@ -79,6 +74,17 @@ class TuningConfig:
         ceiling = 1.0 - math.sqrt(2.0) * math.exp(-self.x0_log)
         if not 0.0 < self.delta0 <= ceiling or self.delta0 >= 1.0:
             raise DomainError(f"delta0={self.delta0} outside (0, 1 - sqrt(2)/x0]")
+
+    @property
+    def a_beta0(self) -> int:
+        """Divisor of the free term delta/a_beta0 of the smoothed bound."""
+        return 1 if self.beta0_present else 2
+
+    @property
+    def alpha4(self) -> float:
+        """Scale of the low-lying region |s - 1| < 1/(alpha4 log d_L) that
+        holds no zero other than beta_0."""
+        return 1.7 if self.beta0_present else 2.0
 
     def with_delta0(self, delta0: float) -> "TuningConfig":
         return replace(self, delta0=delta0)
@@ -133,7 +139,7 @@ def ell_low(cfg: TuningConfig) -> tuple[float, float, float, float, float, float
 
     l2 = 1.0 + d0 / (2.0 * (1.0 - d0) * lx0)
 
-    l3 = cfg.zf.alpha4 * ((2.0 + d0) / 2.0 + math.exp(-lx0 / 2.0)) * a0_half / 2.0
+    l3 = cfg.alpha4 * ((2.0 + d0) / 2.0 + math.exp(-lx0 / 2.0)) * a0_half / 2.0
 
     l4 = ((2.0 + d0) / 2.0) * (
         1.0 + math.exp((-1.0 + 2.0 / (R1 * row.n0 * (1.0 / M + math.log(4.0)))) * lx0)

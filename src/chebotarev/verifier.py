@@ -191,17 +191,6 @@ class QuadraticField:
                 "(need D=1 mod 4 squarefree, or 4d with d=2,3 mod 4 squarefree)"
             )
 
-    @property
-    def n_L(self) -> int:
-        return 2
-
-    @property
-    def log_dL(self) -> float:
-        return math.log(abs(self.D))
-
-    def splitting(self, p: int) -> int:
-        return kronecker(self.D, p)
-
 
 @dataclass(frozen=True)
 class ClassCount:
@@ -221,8 +210,9 @@ class EquidistRow:
     psi_nontrivial: float
     ec_identity: float
     ec_nontrivial: float
-    # sum of log p over all unramified p^m <= x, from the same per-class
-    # integer sums as the two psi values, so not an independent count
+    # sum of log p over all p^m <= x with p not dividing D, counted without
+    # the character, so psi_identity + psi_nontrivial falls short of it
+    # whenever the character misclassifies an unramified prime as ramified
     unramified_total: float
 
 
@@ -310,28 +300,34 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
             [kronecker_symbol(D, int(p)) for p in primes], dtype=np.int8)
         units = (np.log(primes.astype(np.float64)) * _UNIT).astype(np.int64)
         # units < 2^58, and a segment holds at most _SEGMENT / 2 + 1 primes:
-        # per class, the sums of the high and the low 29 bits stay below
-        # 2^53, so these float64 sums are exact integers
+        # over all classes together, the sums of the high and the low 29 bits
+        # stay below 2^53, so these float64 sums and their totals are exact
         cls = (chi + 1).astype(np.intp)  # 0 inert, 1 ramified, 2 split
         high = np.bincount(cls, weights=units >> 29, minlength=3)
         low = np.bincount(cls, weights=units & ((1 << 29) - 1), minlength=3)
-        split = (int(high[2]) << 29) + int(low[2])
-        inert = (int(high[0]) << 29) + int(low[0])
-        first[0] += split
-        first[1] += inert
-        first[2] += split + inert
+        first[0] += (int(high[2]) << 29) + int(low[2])  # split
+        first[1] += (int(high[0]) << 29) + int(low[0])  # inert
+        # the total takes every prime of the segment once, whatever chi says,
+        # less the primes dividing D, which are all <= |D|.  No slice of
+        # primes is bound to a name: that view would keep this segment's
+        # primes alive while the next segment is sieved
+        r = int(np.searchsorted(primes, modulus, side="right"))
+        first[2] += ((int(high.sum()) << 29) + int(low.sum())
+                     - int(units[:r][modulus % primes[:r] == 0].sum()))
 
-        # higher powers p^m <= top need p <= sqrt(top): split p -> identity,
-        # inert p -> identity for even m and nontrivial for odd m
+        # higher powers p^m <= top of every p not dividing D need
+        # p <= sqrt(top): split p -> identity, inert p -> identity for even m
+        # and nontrivial for odd m, chi(p) = 0 -> the total only
         k = int(np.searchsorted(primes, math.isqrt(top), side="right"))
         for p, c, u in zip(primes[:k].tolist(), chi[:k].tolist(), units[:k].tolist()):
             pm, m = p * p, 2
-            while c and pm <= top:
-                heapq.heappush(powers, (pm, 0 if c == 1 or m % 2 == 0 else 1, u))
+            while modulus % p and pm <= top:
+                heapq.heappush(powers, (pm, 2 if c == 0 else 0 if c == 1 or m % 2 == 0 else 1, u))
                 pm, m = pm * p, m + 1
         while powers and powers[0][0] <= hi:
             _, cls, u = heapq.heappop(powers)
-            higher[cls] += u
+            if cls < 2:
+                higher[cls] += u
             higher[2] += u
         sums[hi] = tuple(a / _UNIT + b / _UNIT for a, b in zip(first, higher))
     return [sums.get(math.floor(x), (0.0, 0.0, 0.0)) for x in xs]
@@ -360,12 +356,14 @@ def equidist_report(
     """Evaluate both classes on a grid of x values.
 
     unramified_total is sum(log p) over all unramified prime powers.  The
-    sweep adds it up from the same per-class integer sums as the two psi
-    values (split + inert), so psi_identity + psi_nontrivial -
-    unramified_total, the CLI's partition_check, shows only float rounding
-    and checks nothing independently.  The independent check is
-    tests/test_verifier.py::TestEquidistReport::test_partition_against_chebyshev_psi,
-    which compares unramified_total with the Chebyshev psi from trial division.
+    sweep counts it without the character: every prime once, less those
+    dividing D, and every higher power of a prime not dividing D.  So
+    psi_identity + psi_nontrivial - unramified_total, the CLI's
+    partition_check, is float rounding when the character is right and
+    grows by log p for each unramified p^m the character drops.
+    tests/test_verifier.py::TestEquidistReport::test_partition_against_chebyshev_psi
+    checks unramified_total itself against the Chebyshev psi from trial
+    division.
     """
     return [
         EquidistRow(x=x, psi_identity=ident, psi_nontrivial=nontriv,

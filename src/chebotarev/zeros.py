@@ -16,18 +16,23 @@ N_L(T+1) - N_L(T-1), the zero-density kernel Q(u,t) >= N_L(u) - N_L(t),
 and the threshold pairs (omega0, t0) with
 Q(u,t) < omega0 * (u n_L / pi) log(Delta_L u) for u >= t >= t0.
 
+The zero-free-region radii R1 and R2 are module constants.  The two
+values that depend on whether an exceptional real zero beta_0 exists,
+alpha4 and a_beta0, are properties of constants.TuningConfig.
+
 Everything here is a pure function of its arguments.  The one-dimensional
 eps-minimization reads a fixed 100 000-point eps grid, which the first
 alpha0 call builds (importing numpy then) and every later call shares
-read-only; importing this module loads no numpy.
+read-only; importing this module loads no numpy.  alpha0 memoizes its
+result: it depends only on T and the row, and one table or one delta0
+bisection asks for the same few values many times.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericError
 from .invariants import FieldParams, MinkowskiRow
@@ -42,7 +47,6 @@ __all__ = [
     "R1",
     "R2",
     "EPS0_WINDOW",
-    "ZeroFreeConstants",
     "c123",
     "alpha0",
     "alpha0_prime",
@@ -69,31 +73,6 @@ R2 = 12.2411
 # eps minimizing c1(1,eps)(1 + log(1 + (2+eps)/3)/log 3), fixed once for
 # the window constants b1..b4.
 EPS0_WINDOW = 1.1814
-
-
-@dataclass(frozen=True)
-class ZeroFreeConstants:
-    """Zero-free-region data, toggled by the presence of the exceptional
-    real zero beta_0.
-
-    a_beta0 multiplies the free term delta/a_beta0 of the smoothed bound
-    (1 if beta_0 exists, else 2); alpha4 scales the low-lying region
-    |s - 1| < 1/(alpha4 log d_L) that contains no zero other than beta_0
-    (1.7 if beta_0 exists, else 2).
-    """
-
-    beta0_present: bool
-
-    R1: ClassVar[float] = R1
-    R2: ClassVar[float] = R2
-
-    @property
-    def alpha4(self) -> float:
-        return 1.7 if self.beta0_present else 2.0
-
-    @property
-    def a_beta0(self) -> int:
-        return 1 if self.beta0_present else 2
 
 
 def c123(a: float, eps: float, T: float) -> tuple[float, float, float]:

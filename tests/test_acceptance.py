@@ -117,8 +117,6 @@ def test_criterion_05_absolute_constant_tables():
         classical_a0_grid,
         classical_constants,
     )
-    from chebotarev import standard_config
-
     bad7 = table_failures(7)
     bad8 = table_failures(8)
 
@@ -130,24 +128,21 @@ def test_criterion_05_absolute_constant_tables():
         (21, True, ClassicalBranch.REFINED, B0_REFINED),
         (21, False, ClassicalBranch.FULL, B0_FULL),
     ]:
-        cfg = standard_config(n0, present)
         f = _finals_cached(n0, present)
-        cc = classical_constants(cfg, branch, b0, f)
+        cc = classical_constants(f, branch, b0)
         if branch is ClassicalBranch.REFINED:
             A, B, D, C = 0.75, 0.75, f.exp_coeff_half, f.C3
         else:
             A, B, D, C = 2.0, 1.0, f.exp_coeff_full, f.C12
-        grid = classical_a0_grid(C, A, B, D, b0, cc.c0, cfg.row.M, cfg.row.n0)
+        grid = classical_a0_grid(C, A, B, D, b0, cc.c0, f.cfg.row.M, n0)
         grid_ok &= abs(cc.a0 - grid) <= 1e-6 * cc.a0
 
-    cc2 = classical_constants(standard_config(2, True), ClassicalBranch.REFINED,
-                              B0_REFINED, _finals_cached(2, True))
+    cc2 = classical_constants(_finals_cached(2, True), ClassicalBranch.REFINED, B0_REFINED)
     anchor_ok = (
         abs(cc2.a0 - 46.1831) / 46.1831 < 1e-2
         and abs(cc2.c0 - 728.705) / 728.705 < 1e-2
     )
-    cc_full = classical_constants(standard_config(2, True), ClassicalBranch.FULL,
-                                  B0_FULL, _finals_cached(2, True))
+    cc_full = classical_constants(_finals_cached(2, True), ClassicalBranch.FULL, B0_FULL)
     anchor_ok &= abs(cc_full.a0 - 174.707) / 174.707 < 1e-2
 
     ok = not bad7 and not bad8 and grid_ok and anchor_ok

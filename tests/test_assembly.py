@@ -66,12 +66,23 @@ class TestFinalConstants:
         # which json cannot encode
         for n0 in range(2, 22):
             for present in (True, False):
+                f = final_constants(standard_config(n0, present))
+                # k is the corollary index, an int; cfg and ells are records
+                names = [(f.ells, field.name) for field in dataclasses.fields(f.ells)]
+                names += [(f, field.name) for field in dataclasses.fields(f)
+                          if field.name not in ("cfg", "ells", "k")]
+                names += [(f, "alpha"), (f, "x0_log"), (f, "Y0")]
+                for obj, name in names:
+                    assert type(getattr(obj, name)) is float, (n0, present, name)
+
+    def test_record_carries_its_config_and_ells(self):
+        for n0 in range(2, 22):
+            for present in (True, False):
                 cfg = standard_config(n0, present)
-                for obj in (compute_ells(cfg), final_constants(cfg)):
-                    for field in dataclasses.fields(obj):
-                        if field.name != "k":  # the corollary index, an int
-                            value = getattr(obj, field.name)
-                            assert type(value) is float, (n0, present, field.name)
+                f = final_constants(cfg)
+                assert f.cfg == cfg, (n0, present)
+                assert f.ells == compute_ells(cfg), (n0, present)
+                assert (f.alpha, f.x0_log, f.Y0) == (cfg.alpha, cfg.x0_log, f.ells.Y0)
 
     def test_exp_coeff_ordering(self):
         f = _finals_cached(2, True)
@@ -178,19 +189,19 @@ class TestChooseDelta0:
 
 class TestClassicalConstants:
     def test_refined_anchor_degree_two(self):
-        cfg = standard_config(2, True)
-        cc = classical_constants(cfg, ClassicalBranch.REFINED, B0_REFINED)
+        f = final_constants(standard_config(2, True))
+        cc = classical_constants(f, ClassicalBranch.REFINED, B0_REFINED)
         assert abs(cc.a0 - 46.1831) / 46.1831 < 1e-2
         assert abs(cc.c0 - 728.705) / 728.705 < 1e-2
 
     def test_full_anchor_degree_two(self):
-        cfg = standard_config(2, True)
-        cc = classical_constants(cfg, ClassicalBranch.FULL, B0_FULL)
+        f = final_constants(standard_config(2, True))
+        cc = classical_constants(f, ClassicalBranch.FULL, B0_FULL)
         assert abs(cc.a0 - 174.707) / 174.707 < 1e-2
 
     def test_full_anchor_top_row_absent(self):
-        cfg = standard_config(21, False)
-        cc = classical_constants(cfg, ClassicalBranch.FULL, B0_FULL)
+        f = final_constants(standard_config(21, False))
+        cc = classical_constants(f, ClassicalBranch.FULL, B0_FULL)
         assert abs(cc.a0 - 1.047e10) / 1.047e10 < 1e-2
 
     def test_closed_form_matches_grid_search(self):
@@ -200,25 +211,24 @@ class TestClassicalConstants:
             (21, False, ClassicalBranch.FULL, B0_FULL),
             (9, False, ClassicalBranch.REFINED, B0_REFINED),
         ]:
-            cfg = standard_config(n0, present)
             f = _finals_cached(n0, present)
-            cc = classical_constants(cfg, branch, b0, f)
+            cc = classical_constants(f, branch, b0)
             if branch is ClassicalBranch.REFINED:
                 A, B, D, C = 0.75, 0.75, f.exp_coeff_half, f.C3
             else:
                 A, B, D, C = 2.0, 1.0, f.exp_coeff_full, f.C12
-            grid = classical_a0_grid(C, A, B, D, b0, cc.c0, cfg.row.M, cfg.row.n0)
+            grid = classical_a0_grid(C, A, B, D, b0, cc.c0, f.cfg.row.M, n0)
             assert abs(cc.a0 - grid) <= 1e-6 * cc.a0
 
     def test_b0_must_stay_below_decay(self):
-        cfg = standard_config(2, True)
+        f = final_constants(standard_config(2, True))
         with pytest.raises(DomainError):
-            classical_constants(cfg, ClassicalBranch.FULL, 0.27)
+            classical_constants(f, ClassicalBranch.FULL, 0.27)
 
     def test_c0_decreasing_across_rows(self):
         vals = [
             classical_constants(
-                standard_config(n0, True), ClassicalBranch.FULL, B0_FULL
+                final_constants(standard_config(n0, True)), ClassicalBranch.FULL, B0_FULL
             ).c0
             for n0 in range(2, 22)
         ]
@@ -315,6 +325,14 @@ class TestTables:
         t = generate_table(4, "absent")
         assert len(t.columns) == 1 + 2 + 5
         assert all(d.ok for d in diff_table(t))
+
+    def test_one_state_builds_one_record_per_row(self):
+        # the row-level cells of tables 4-6 come from the requested state,
+        # so one state never builds the other's records
+        _finals_cached.cache_clear()
+        for k in range(4, 9):
+            generate_table(k, "absent")
+        assert _finals_cached.cache_info().currsize == 20
 
     def test_table3_is_exact_embedded_data(self):
         t = generate_table(3)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -218,6 +219,22 @@ class TestVerifyCommand:
         if code == 2:
             assert out == "" and err.startswith("error: |D| must be at most")
 
+    def test_partition_check_sees_a_broken_character(self, capsys, monkeypatch):
+        # a character that calls every prime 3 mod 4 ramified drops them from
+        # both classes; the unramified total counts them without the character
+        from chebotarev import verifier
+
+        right = verifier.kronecker_symbol
+        monkeypatch.setattr(verifier, "kronecker_symbol",
+                            lambda a, n: 0 if n % 4 == 3 else right(a, n))
+        code, out, _ = run(capsys, "verify", "--disc", "-4", "--x-grid", "20,1000",
+                           "--format", "csv")
+        assert code == 0
+        checks = [float(line.split(",")[-1]) for line in out.splitlines()[1:]]
+        # x = 20: log(3 7 11 19) + log 3 from 9 = 3^2
+        assert checks[0] == pytest.approx(math.log(3 * 7 * 11 * 19 * 3), abs=0.01)
+        assert checks[1] > 500
+
 
 class TestParamsCommand:
     def test_dump_contains_pipeline(self, capsys):
@@ -232,6 +249,21 @@ class TestParamsCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: n0 must be a table row in 2..21")
+
+    def test_ell_chain_computed_once(self, capsys, monkeypatch):
+        from chebotarev import assembly, constants
+
+        real, calls = constants.compute_ells, []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(constants, "compute_ells", counting)
+        monkeypatch.setattr(assembly, "compute_ells", counting)
+        code, _, _ = run(capsys, "params", "--n0", "5", "--beta0", "absent")
+        assert code == 0
+        assert len(calls) == 1
 
     def test_jsonl_round_trip(self, capsys):
         code, out, _ = run(capsys, "params", "--n0", "21", "--beta0", "absent",
@@ -395,7 +427,7 @@ PUBLIC_NAMES = [
     "EllConstants", "Endpoint", "FieldParams", "FinalConstants", "MINKOWSKI_TABLE",
     "MinkowskiRow", "NumericError", "P_E_L", "PoleError", "Q_kernel", "Q_kernel_partial_u",
     "QuadraticField", "R1", "R2", "RegimeThreshold", "ResourceError", "SearchError",
-    "SmoothingParams", "TuningConfig", "ZeroFreeConstants", "alpha0", "alpha0_prime",
+    "SmoothingParams", "TuningConfig", "alpha0", "alpha0_prime",
     "assembly", "bessel", "bessel_I", "bessel_K", "bound_eval", "c123", "choose_delta0",
     "classical_constants", "compute_ells", "constants", "corollary_constants", "curly_N0",
     "diff_table", "ell6", "ell7", "ell_low", "equidist_report", "errors", "final_constants",

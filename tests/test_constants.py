@@ -35,7 +35,7 @@ def ell_low_retranscribed(cfg: TuningConfig) -> tuple[float, ...]:
         + 11.54 / (n0 * lx0)
     )
     l2 = 1 + d0 / (2 * (1 - d0) * lx0)
-    l3 = cfg.zf.alpha4 * ((2 + d0) / 2 + math.exp(-lx0 / 2)) * a0_h / 2
+    l3 = cfg.alpha4 * ((2 + d0) / 2 + math.exp(-lx0 / 2)) * a0_h / 2
     l4 = (
         (2 + d0)
         / 2
@@ -79,7 +79,7 @@ class TestTuningConfig:
             for present in (True, False):
                 cfg = standard_config(n0, present)
                 M = cfg.row.M
-                assert (cfg.row.n0, cfg.zf.beta0_present) == (n0, present)
+                assert (cfg.row.n0, cfg.beta0_present) == (n0, present)
                 assert math.isclose(
                     cfg.alpha,
                     max(
@@ -96,11 +96,22 @@ class TestTuningConfig:
 
     def test_only_row_delta0_and_state_are_settable(self):
         cfg = standard_config(2, True)
-        assert [f.name for f in dataclasses.fields(cfg) if f.init] == ["row", "delta0", "zf"]
-        assert [f.name for f in dataclasses.fields(cfg.zf)] == ["beta0_present"]
+        assert [f.name for f in dataclasses.fields(cfg) if f.init] == [
+            "row", "delta0", "beta0_present"]
         moved = cfg.with_delta0(0.5)
-        assert (moved.delta0, moved.alpha, moved.x0_log, moved.row, moved.zf) == (
-            0.5, cfg.alpha, cfg.x0_log, cfg.row, cfg.zf)
+        assert (moved.delta0, moved.alpha, moved.x0_log, moved.row, moved.beta0_present) == (
+            0.5, cfg.alpha, cfg.x0_log, cfg.row, cfg.beta0_present)
+
+    def test_with_exceptional_zero(self):
+        cfg = standard_config(2, True)
+        assert (R1, R2) == (20.0, 12.2411)
+        assert cfg.alpha4 == 1.7
+        assert cfg.a_beta0 == 1
+
+    def test_without_exceptional_zero(self):
+        cfg = standard_config(2, False)
+        assert cfg.alpha4 == 2.0
+        assert cfg.a_beta0 == 2
 
     def test_alpha_anchor(self):
         from chebotarev.reference_values import matches_printed

@@ -18,7 +18,6 @@ from chebotarev import (
     P_E_L,
     Q_kernel,
     Q_kernel_partial_u,
-    ZeroFreeConstants,
     alpha0,
     alpha0_prime,
     c123,
@@ -30,19 +29,6 @@ from chebotarev import (
 from chebotarev import zeros
 from chebotarev.invariants import MINKOWSKI_TABLE
 from chebotarev.reference_values import TABLE2_OMEGA_TO_T, matches_printed
-
-
-class TestZeroFreeConstants:
-    def test_with_exceptional_zero(self):
-        zf = ZeroFreeConstants(True)
-        assert (zf.R1, zf.R2) == (20.0, 12.2411)
-        assert zf.alpha4 == 1.7
-        assert zf.a_beta0 == 1
-
-    def test_without_exceptional_zero(self):
-        zf = ZeroFreeConstants(False)
-        assert zf.alpha4 == 2.0
-        assert zf.a_beta0 == 2
 
 
 class TestC123:
