@@ -22,7 +22,8 @@ a periodic wheel pattern.  Log sums run exactly on integers in units of
 
 Importing this module builds no array.  The wheel pattern is built on the
 first sweep and kept, read-only, for later ones; each segment's flags and
-primes, and the base primes up to sqrt(x), live only while one sweep runs.
+primes, the base primes up to sqrt(x) and the character's table of
+residues mod |D| (for |D| <= 10^6) live only while one sweep runs.
 """
 
 from __future__ import annotations
@@ -229,6 +230,42 @@ def _wheel(width: int) -> np.ndarray:
     return flags
 
 
+# (D_2/r) over one period of r, for each 2-part D_2 a fundamental
+# discriminant can have: chi_-4, chi_8 and chi_-8
+_TWO_PART = {-4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1), -8: (0, 1, 0, 1, 0, -1, 0, -1)}
+
+
+def _residue_table(D: int) -> np.ndarray:
+    """(D/r) for r = 0 .. |D|-1, int8, for a fundamental discriminant D.
+
+    chi_D is the product of its local characters: the Legendre symbol
+    (r/q) for each odd prime q dividing D, and chi_-4, chi_8 or chi_-8 for
+    the 2-part D_2 = D / prod q*, where q* = +-q = 1 mod 4.  Each factor has
+    period q (or 4, 8) dividing |D|, so it enters as its table tiled."""
+    modulus = abs(D)
+    m = modulus // (modulus & -modulus)  # the odd part, squarefree
+    odd_primes, q = [], 3
+    while q * q <= m:
+        if m % q == 0:
+            odd_primes.append(q)
+            m //= q
+        q += 2
+    if m > 1:
+        odd_primes.append(m)
+    table = np.ones(modulus, dtype=np.int8)
+    odd = 1
+    for q in odd_primes:
+        legendre = np.full(q, -1, dtype=np.int8)
+        legendre[0] = 0
+        legendre[np.arange(1, q) ** 2 % q] = 1  # squares < 10^12 fit int64
+        table *= np.tile(legendre, modulus // q)
+        odd *= q if q % 4 == 1 else -q
+    if D != odd:
+        two = _TWO_PART[D // odd]
+        table *= np.tile(np.array(two, dtype=np.int8), modulus // len(two))
+    return table
+
+
 def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
     """(hi, primes in (lo, hi]) over consecutive ranges covering
     (1, stops[-1]] in ascending order, each at most _SEGMENT long and each
@@ -254,6 +291,9 @@ def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
             for p, i in zip(ps.tolist(), ((q * ps - 1) // 2 - a).tolist()):
                 seg[i::p] = False
             primes = np.flatnonzero(seg) * 2 + (2 * a + 1)
+            # the suspended generator would otherwise hold these 512 KiB of
+            # flags while the caller works on the primes
+            del seg
             if lo < _WHEEL_PRIMES[-1]:
                 head = [p for p in (2, *_WHEEL_PRIMES) if lo < p <= hi]
                 primes = np.concatenate((np.array(head, dtype=np.int64), primes))
@@ -291,18 +331,23 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
     modulus, table, seen = abs(D), None, 0
     first, higher, powers, sums = [0, 0, 0], [0, 0, 0], [], {}
     for hi, primes in _segments(stops):
-        # (D/p) is a character mod |D|: once the primes outnumber its
-        # residues, one table beats evaluating the symbol per prime
+        # (D/p) is a character mod |D|.  Its table costs under 10 ns a
+        # residue against 1-4 us for one symbol call, so it is built once the
+        # primes seen outnumber 1/256 of the residues: the calls made before
+        # then cost about what the table does
         seen += len(primes)
-        if table is None and modulus <= 10**6 and seen > modulus:
-            table = np.array([kronecker_symbol(D, r) for r in range(modulus)], dtype=np.int8)
+        if table is None and modulus <= 10**6 and seen * 256 > modulus:
+            table = _residue_table(D)
         chi = table[primes % modulus] if table is not None else np.array(
             [kronecker_symbol(D, int(p)) for p in primes], dtype=np.int8)
-        units = (np.log(primes.astype(np.float64)) * _UNIT).astype(np.int64)
+        units = np.log(primes, dtype=np.float64)
+        units *= _UNIT
+        units = units.astype(np.int64)
         # units < 2^58, and a segment holds at most _SEGMENT / 2 + 1 primes:
         # over all classes together, the sums of the high and the low 29 bits
         # stay below 2^53, so these float64 sums and their totals are exact
-        cls = (chi + 1).astype(np.intp)  # 0 inert, 1 ramified, 2 split
+        cls = chi.astype(np.intp)
+        cls += 1  # 0 inert, 1 ramified, 2 split
         high = np.bincount(cls, weights=units >> 29, minlength=3)
         low = np.bincount(cls, weights=units & ((1 << 29) - 1), minlength=3)
         first[0] += (int(high[2]) << 29) + int(low[2])  # split

@@ -21,17 +21,18 @@ values that depend on whether an exceptional real zero beta_0 exists,
 alpha4 and a_beta0, are properties of constants.TuningConfig.
 
 Everything here is a pure function of its arguments.  The one-dimensional
-eps-minimization reads a fixed 100 000-point eps grid, which the first
-alpha0 call builds (importing numpy then) and every later call shares
-read-only; importing this module loads no numpy.  alpha0 memoizes its
-result: it depends only on T and the row, and one table or one delta0
-bisection asks for the same few values many times.
+eps-minimization runs on a fixed 100 000-point geometric eps grid, but no
+call builds that grid: each alpha0 call computes only the ~1 000 points
+it reads, by numpy's own geomspace formula, and frees them on return.
+numpy loads with the first alpha0 call; importing this module loads none.
+alpha0 memoizes its result: it depends only on T and the row, and one
+table or one delta0 bisection asks for the same few values many times.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericError
@@ -97,9 +98,14 @@ def _count_bound(T: float, eps: float, M: float, log_d0: float) -> float:
     """B(T, eps): per-log-d_L zero count after the Minkowski substitution.
 
     Summing the c123 bound over characters with window radius a = T and
-    center 0 gives N_L(T) <= (c1 + c2 M + c3/log d0) log d_L.
+    center 0 gives N_L(T) <= (c1 + c2 M + c3/log d0) log d_L.  This is
+    c123(T, eps, 0.0) written out, bit for bit: at center 0 both square
+    roots collapse, so c3 = (2 c1) * 2.0 = 4 c1 exactly.
     """
-    c1, c2, c3 = c123(T, eps, 0.0)
+    one = 1.0 + eps
+    c1 = (one * one + T * T) / (2.0 * eps)
+    c2 = c1 * math.log(2.0 + eps) + 2.0 * c1 * (1.0 / eps + 539.0 / 268.0)
+    c3 = 4.0 * c1
     return c1 + c2 * M + c3 / log_d0
 
 
@@ -143,15 +149,19 @@ _GRID_SIZE = 100_000
 _COARSE_IDX = [i * (_GRID_SIZE - 1) // 256 for i in range(257)]
 
 
-@cache
-def _eps_grid() -> np.ndarray:
-    """The eps grid, geometric from _EPS_LO to _EPS_HI, read-only.  Built on
-    the first alpha0 call, not at import."""
+def _eps_points(idx) -> np.ndarray:
+    """np.geomspace(_EPS_LO, _EPS_HI, _GRID_SIZE)[idx], bit for bit, without
+    the grid: numpy's own formula 10 ** (i * step + log10(_EPS_LO)), with
+    index 0 and the last index pinned to the ends as np.geomspace pins them."""
     import numpy as np
 
-    grid = np.geomspace(_EPS_LO, _EPS_HI, _GRID_SIZE)
-    grid.flags.writeable = False
-    return grid
+    idx = np.asarray(idx)
+    l0 = np.log10(_EPS_LO)
+    step = (np.log10(_EPS_HI) - l0) / (_GRID_SIZE - 1)
+    pts = np.power(10.0, idx * step + l0)
+    pts[idx == 0] = _EPS_LO
+    pts[idx == _GRID_SIZE - 1] = _EPS_HI
+    return pts
 
 
 @lru_cache(maxsize=512)
@@ -166,17 +176,15 @@ def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
     # so overflow shows first at grid index 0, which the coarse subset holds.
     import numpy as np
 
-    grid = _eps_grid()
-    coarse = _count_bound_vec(T, grid[_COARSE_IDX], M, log_d0)
+    coarse = _count_bound_vec(T, _eps_points(_COARSE_IDX), M, log_d0)
     if not np.all(np.isfinite(coarse)):
         raise NumericError("zero-count bound overflowed during minimization")
     k = int(np.argmin(coarse))
     start = _COARSE_IDX[max(0, k - 1)]
     stop = _COARSE_IDX[min(len(_COARSE_IDX) - 1, k + 1)] + 1
-    vals = _count_bound_vec(T, grid[start:stop], M, log_d0)
+    vals = _count_bound_vec(T, _eps_points(np.arange(start, stop)), M, log_d0)
     i = start + int(np.argmin(vals))
-    lo = float(grid[max(0, i - 2)])
-    hi = float(grid[min(_GRID_SIZE - 1, i + 2)])
+    lo, hi = _eps_points([max(0, i - 2), min(_GRID_SIZE - 1, i + 2)]).tolist()
     best = _golden_min(lambda e: _count_bound(T, e, M, log_d0), lo, hi)
     return min(float(vals[i - start]), _count_bound(T, best, M, log_d0))
 

@@ -224,9 +224,19 @@ class TestVerifyCommand:
         # both classes; the unramified total counts them without the character
         from chebotarev import verifier
 
+        # both ways the sweep reads the character: the symbol per prime, and
+        # the residue table
         right = verifier.kronecker_symbol
         monkeypatch.setattr(verifier, "kronecker_symbol",
                             lambda a, n: 0 if n % 4 == 3 else right(a, n))
+        right_table = verifier._residue_table
+
+        def broken_table(D):
+            table = right_table(D)
+            table[3::4] = 0
+            return table
+
+        monkeypatch.setattr(verifier, "_residue_table", broken_table)
         code, out, _ = run(capsys, "verify", "--disc", "-4", "--x-grid", "20,1000",
                            "--format", "csv")
         assert code == 0

@@ -172,6 +172,21 @@ class TestKronecker:
             for p in trial_primes(300):
                 assert kronecker_symbol(D, p) == splitting_by_square_search(D, p)
 
+    def test_residue_table_matches_symbol(self):
+        # the table built from the local characters of D is (D/r) itself:
+        # every residue of every fundamental |D| < 1000, and a seeded sample
+        # at the table's cut-off |D| <= 10^6
+        for D in range(-999, 1000):
+            if verifier.is_fundamental_discriminant(D):
+                want = [kronecker_symbol(D, r) for r in range(abs(D))]
+                assert verifier._residue_table(D).tolist() == want, D
+        rng = random.Random(20261018)
+        for D in (-999995, 999997):
+            table = verifier._residue_table(D)
+            assert table.dtype == np.int8 and len(table) == abs(D)
+            for r in rng.sample(range(abs(D)), 10_000):
+                assert table[r] == kronecker_symbol(D, r), (D, r)
+
 
 class TestPrimeInfrastructure:
     def test_primes_up_to_matches_trial_division(self):

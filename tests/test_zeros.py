@@ -90,6 +90,18 @@ class TestAlpha0:
         with pytest.raises(DomainError):
             alpha0(0.0, minkowski_lookup(2))
 
+    def test_scalar_objective_equals_c123(self):
+        # the golden section's B is c123(T, eps, 0.0) written out: same bits
+        rng = np.random.default_rng(20261018)
+        rows = list(MINKOWSKI_TABLE)
+        n = 100_000
+        Ts = rng.uniform(1e-3, 100.0, n).tolist()
+        epss = np.geomspace(1e-3, 50.0, n)[rng.permutation(n)].tolist()
+        for T, eps, r in zip(Ts, epss, rng.integers(0, len(rows), n).tolist()):
+            row = rows[r]
+            c1, c2, c3 = c123(T, eps, 0.0)
+            assert zeros._count_bound(T, eps, row.M, row.log_d0) == c1 + c2 * row.M + c3 / row.log_d0
+
 
 def full_grid_alpha0(T: float, M: float, log_d0: float) -> tuple[float, np.ndarray, int]:
     """Reference minimizer: B(T, .) on all 100 000 grid points, then the
@@ -127,18 +139,35 @@ class TestAlpha0Window:
         assert any(zeros._COARSE_IDX[-2] < i < 99_999 for i in argmins)
 
     def test_grid_and_coarse_indices(self):
-        grid = zeros._eps_grid()
-        assert np.array_equal(grid, np.geomspace(1e-3, 50.0, 100_000))
-        assert not grid.flags.writeable
+        # the full grid exists only here, as the oracle for the point formula
+        grid = np.geomspace(1e-3, 50.0, 100_000)
+        pts = zeros._eps_points(range(100_000))
+        assert np.array_equal(pts.view(np.int64), grid.view(np.int64))
         assert zeros._COARSE_IDX == np.linspace(0, 99_999, 257).astype(np.intp).tolist()
+        assert np.array_equal(zeros._eps_points(zeros._COARSE_IDX), grid[zeros._COARSE_IDX])
 
     def test_import_builds_no_grid(self):
         code = ("import sys\n"
                 "from chebotarev import zeros\n"
-                "print('numpy' in sys.modules, zeros._eps_grid.cache_info().currsize)\n")
+                "print('numpy' in sys.modules, zeros._alpha0_cached.cache_info().currsize)\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == ["False", "0"]
+
+    def test_cold_call_allocates_no_grid(self):
+        # the first alpha0 call of a process, numpy already loaded: it holds
+        # only the ~1 000 points it reads, never a grid of 100 000 doubles
+        # (781 KiB on its own)
+        code = ("import tracemalloc\n"
+                "import numpy\n"
+                "from chebotarev import minkowski_lookup, zeros\n"
+                "row = minkowski_lookup(2)\n"
+                "tracemalloc.start()\n"
+                "zeros._alpha0_cached(1.0, row.M, row.log_d0)\n"
+                "print(tracemalloc.get_traced_memory()[1])\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) < 128 * 1024
 
     def test_lower_grid_edge(self):
         # no real row puts the argmin on the lower edge (B grows like
