@@ -17,19 +17,21 @@ One ascending pass of a segmented sieve (segments of at most 2^20
 numbers, also cut at each x) serves a whole grid, so a grid costs about
 what its top x costs and memory is O(segment + sqrt(x)).  A segment holds
 flags for its odd numbers only, pre-marked with the multiples of 3..13 by
-a periodic wheel pattern.  Log sums run exactly on integers in units of
-2^-53 and are rounded once per x.
+repeating one period of a wheel pattern.  Log sums run exactly on integers
+in units of 2^-53 and are rounded once per x.
 
-Importing this module builds no array.  The wheel pattern is built on the
-first sweep and kept, read-only, for later ones; each segment's flags and
-primes, the base primes up to sqrt(x) and the character's table of
-residues mod |D| (for |D| <= 10^6) live only while one sweep runs.
+Importing this module builds no array, and nothing outlives a sweep.  One
+sweep holds the wheel pattern (30 030 flags), the base primes up to
+sqrt(x), the character's table of residues mod |D| (for |D| <= 10^6) and
+one segment at a time.  A segment's 2^19 flags are freed once its primes
+are listed.  Its class sums then take the primes' logs as int64, split
+into two 29-bit halves, and multiply the character values into each half
+in place: no class-index array and no weighted copies.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import heapq
 import math
 import os
@@ -42,6 +44,7 @@ from .errors import DomainError, ResourceError
 
 __all__ = [
     "DEFAULT_SIEVE_LIMIT",
+    "MAX_SIEVE_LIMIT",
     "MAX_ABS_DISC",
     "ConjugacyClass",
     "QuadraticField",
@@ -58,6 +61,10 @@ __all__ = [
 ]
 
 DEFAULT_SIEVE_LIMIT = 10**9
+# below e^32 = 7.9e13 every log p is under 32, so its units stay under 2^58
+# and float64 holds every prime exactly; sqrt of the cap, 2^23, bounds the
+# base primes
+MAX_SIEVE_LIMIT = 2**46
 # deciding squarefreeness trial-divides up to the cube root of |D|: at most
 # 10^6 steps, a fraction of a second, up to this cap
 MAX_ABS_DISC = 10**18
@@ -68,11 +75,16 @@ _UNIT = 2**53  # log sums run on integers in units of 2^-53
 
 
 def sieve_limit() -> int:
-    """CHEB_SIEVE_LIMIT, a positive integer, else DEFAULT_SIEVE_LIMIT."""
+    """CHEB_SIEVE_LIMIT, a positive integer at most MAX_SIEVE_LIMIT, else
+    DEFAULT_SIEVE_LIMIT."""
     raw = os.environ.get("CHEB_SIEVE_LIMIT", str(DEFAULT_SIEVE_LIMIT)).strip()
-    if not raw.isdecimal() or int(raw) < 1:
+    digits = raw.lstrip("0")
+    if not raw.isdecimal() or not digits:
         raise DomainError(f"CHEB_SIEVE_LIMIT must be a positive integer, got {raw!r}")
-    return int(raw)
+    # more digits than the cap has are above it, and int() refuses 4 301
+    if len(digits) > len(str(MAX_SIEVE_LIMIT)) or int(digits) > MAX_SIEVE_LIMIT:
+        raise DomainError(f"CHEB_SIEVE_LIMIT must be at most {MAX_SIEVE_LIMIT} (2^46), got {raw!r}")
+    return int(digits)
 
 
 class ConjugacyClass(enum.Enum):
@@ -217,16 +229,14 @@ class EquidistRow:
     unramified_total: float
 
 
-@functools.cache
-def _wheel(width: int) -> np.ndarray:
-    """Read-only flags for the odd numbers 2j+1, j < width + _WHEEL: False
-    where one of _WHEEL_PRIMES divides 2j+1.  The pattern has period _WHEEL
-    in j, so the flags of any width odd numbers from 2j+1 on are the slice
-    starting at j % _WHEEL.  Built on the first sweep, not at import."""
-    flags = np.ones(width + _WHEEL, dtype=bool)
+def _wheel_pattern() -> np.ndarray:
+    """Flags for the odd numbers 2j+1, j < 2 _WHEEL: False where one of
+    _WHEEL_PRIMES divides 2j+1.  The pattern has period _WHEEL in j, so the
+    flags of the odd numbers from 2j+1 on repeat the period that starts at
+    j % _WHEEL."""
+    flags = np.ones(2 * _WHEEL, dtype=bool)
     for p in _WHEEL_PRIMES:
         flags[(p - 1) // 2 :: p] = False  # 2j+1 = 0 mod p iff j = (p-1)/2 mod p
-    flags.flags.writeable = False
     return flags
 
 
@@ -277,23 +287,26 @@ def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
     base = primes_up_to(math.isqrt(stops[-1]))
     base = base[base > _WHEEL_PRIMES[-1]]
     squares = base * base
-    wheel = _wheel((_SEGMENT + 1) // 2)
+    pattern = _wheel_pattern()
     lo = 1
     for stop in stops:
         while lo < stop:
             hi = min(lo + _SEGMENT, stop)
             a = (lo + 1) // 2  # seg[i] stands for the odd number 2(a + i) + 1
             start = a % _WHEEL
-            seg = wheel[start : start + (hi + 1) // 2 - a].copy()
+            seg = np.resize(pattern[start : start + _WHEEL], (hi + 1) // 2 - a)
+            flags = seg.view(np.uint8)  # striking bytes beats striking bools
             ps = base[: np.searchsorted(squares, hi, side="right")]
             # strike from q p, q the least odd multiplier with q p > lo and q >= p
             q = np.maximum((lo // ps + 1) | 1, ps)
             for p, i in zip(ps.tolist(), ((q * ps - 1) // 2 - a).tolist()):
-                seg[i::p] = False
-            primes = np.flatnonzero(seg) * 2 + (2 * a + 1)
+                flags[i::p] = 0
+            primes = np.flatnonzero(seg)
             # the suspended generator would otherwise hold these 512 KiB of
             # flags while the caller works on the primes
-            del seg
+            del seg, flags
+            primes *= 2
+            primes += 2 * a + 1
             if lo < _WHEEL_PRIMES[-1]:
                 head = [p for p in (2, *_WHEEL_PRIMES) if lo < p <= hi]
                 primes = np.concatenate((np.array(head, dtype=np.int64), primes))
@@ -305,6 +318,17 @@ def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n, ascending, via a segmented sieve of Eratosthenes."""
     chunks = [primes for _, primes in _segments([n])] if n > 1 else []
     return np.concatenate([np.empty(0, dtype=np.int64), *chunks])
+
+
+def _chi_moments(half: np.ndarray, chi: np.ndarray) -> list[int]:
+    """[sum u, sum chi u, sum chi^2 u] over the u in half, multiplying chi
+    into half in place.  half holds at most _SEGMENT / 2 + 1 values below
+    2^29 and chi is -1, 0 or 1, so every int64 sum is exact."""
+    sums = [int(half.sum())]
+    for _ in range(2):
+        half *= chi
+        sums.append(int(half.sum()))
+    return sums
 
 
 def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, float, float]]:
@@ -322,8 +346,9 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
     if not xs:
         return []
     lim = sieve_limit() if limit is None else limit
-    if lim < 1:
-        raise DomainError(f"the sieve limit must be a positive integer, got {lim}")
+    if not 1 <= lim <= MAX_SIEVE_LIMIT:
+        raise DomainError(f"the sieve limit must be a positive integer at most "
+                          f"{MAX_SIEVE_LIMIT} (2^46), got {lim}")
     if max(xs) > lim:
         raise ResourceError(f"x = {max(xs)} exceeds the sieve limit {lim}")
     stops = sorted({math.floor(x) for x in xs})
@@ -340,26 +365,18 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
             table = _residue_table(D)
         chi = table[primes % modulus] if table is not None else np.array(
             [kronecker_symbol(D, int(p)) for p in primes], dtype=np.int8)
-        units = np.log(primes, dtype=np.float64)
+        # p < 2^46 converts exactly, and log p * 2^53 is an integer below 2^58
+        units = primes.astype(np.float64)
+        np.log(units, out=units)
         units *= _UNIT
         units = units.astype(np.int64)
-        # units < 2^58, and a segment holds at most _SEGMENT / 2 + 1 primes:
-        # over all classes together, the sums of the high and the low 29 bits
-        # stay below 2^53, so these float64 sums and their totals are exact
-        cls = chi.astype(np.intp)
-        cls += 1  # 0 inert, 1 ramified, 2 split
-        high = np.bincount(cls, weights=units >> 29, minlength=3)
-        low = np.bincount(cls, weights=units & ((1 << 29) - 1), minlength=3)
-        first[0] += (int(high[2]) << 29) + int(low[2])  # split
-        first[1] += (int(high[0]) << 29) + int(low[0])  # inert
+
         # the total takes every prime of the segment once, whatever chi says,
         # less the primes dividing D, which are all <= |D|.  No slice of
         # primes is bound to a name: that view would keep this segment's
         # primes alive while the next segment is sieved
         r = int(np.searchsorted(primes, modulus, side="right"))
-        first[2] += ((int(high.sum()) << 29) + int(low.sum())
-                     - int(units[:r][modulus % primes[:r] == 0].sum()))
-
+        ramified = int(units[:r][modulus % primes[:r] == 0].sum())
         # higher powers p^m <= top of every p not dividing D need
         # p <= sqrt(top): split p -> identity, inert p -> identity for even m
         # and nontrivial for odd m, chi(p) = 0 -> the total only
@@ -369,6 +386,20 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
             while modulus % p and pm <= top:
                 heapq.heappush(powers, (pm, 2 if c == 0 else 0 if c == 1 or m % 2 == 0 else 1, u))
                 pm, m = pm * p, m + 1
+
+        # the class sums come from the sums of u, chi u and chi^2 u, taken
+        # over each 29-bit half of u.  chi^2 is 1 on split and inert primes,
+        # so split = (chi^2 u + chi u) / 2 and inert = (chi^2 u - chi u) / 2
+        high = _chi_moments(units >> 29, chi)
+        units &= (1 << 29) - 1
+        low = _chi_moments(units, chi)
+        # the next segment is sieved while the loop still binds these names
+        del chi, units
+        total, odd, even = ((a << 29) + b for a, b in zip(high, low))
+        first[0] += (even + odd) // 2
+        first[1] += (even - odd) // 2
+        first[2] += total - ramified
+
         while powers and powers[0][0] <= hi:
             _, cls, u = heapq.heappop(powers)
             if cls < 2:

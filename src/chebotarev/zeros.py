@@ -22,8 +22,10 @@ alpha4 and a_beta0, are properties of constants.TuningConfig.
 
 Everything here is a pure function of its arguments.  The one-dimensional
 eps-minimization runs on a fixed 100 000-point geometric eps grid, but no
-call builds that grid: each alpha0 call computes only the ~1 000 points
-it reads, by numpy's own geomspace formula, and frees them on return.
+call builds that grid: alpha0 reads only ~1 000 of its points, computed
+by numpy's own geomspace formula.  The 257 coarse points every call reads
+are computed once, on the first call, and kept read-only; the window
+around their argmin is computed per call and freed on return.
 numpy loads with the first alpha0 call; importing this module loads none.
 alpha0 memoizes its result: it depends only on T and the row, and one
 table or one delta0 bisection asks for the same few values many times.
@@ -32,7 +34,7 @@ table or one delta0 bisection asks for the same few values many times.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericError
@@ -164,6 +166,15 @@ def _eps_points(idx) -> np.ndarray:
     return pts
 
 
+@cache
+def _coarse_eps() -> np.ndarray:
+    """The eps grid at _COARSE_IDX, read-only.  Every cold alpha0 call reads
+    these same 257 points, so the first one computes them for all."""
+    pts = _eps_points(_COARSE_IDX)
+    pts.flags.writeable = False
+    return pts
+
+
 @lru_cache(maxsize=512)
 def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
     # Guarded 1-D minimization: the argmin of B(T, .) over the dense eps
@@ -176,15 +187,23 @@ def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
     # so overflow shows first at grid index 0, which the coarse subset holds.
     import numpy as np
 
-    coarse = _count_bound_vec(T, _eps_points(_COARSE_IDX), M, log_d0)
+    coarse = _count_bound_vec(T, _coarse_eps(), M, log_d0)
     if not np.all(np.isfinite(coarse)):
         raise NumericError("zero-count bound overflowed during minimization")
     k = int(np.argmin(coarse))
     start = _COARSE_IDX[max(0, k - 1)]
     stop = _COARSE_IDX[min(len(_COARSE_IDX) - 1, k + 1)] + 1
-    vals = _count_bound_vec(T, _eps_points(np.arange(start, stop)), M, log_d0)
+    window = _eps_points(np.arange(start, stop))
+    vals = _count_bound_vec(T, window, M, log_d0)
     i = start + int(np.argmin(vals))
-    lo, hi = _eps_points([max(0, i - 2), min(_GRID_SIZE - 1, i + 2)]).tolist()
+    # the golden section brackets grid points i - 2 .. i + 2, clamped to the
+    # grid; the window already holds them unless i sits at its edge.  Each
+    # point is the same elementwise formula either way
+    left, right = max(0, i - 2), min(_GRID_SIZE - 1, i + 2)
+    if start <= left and right < stop:
+        lo, hi = window[[left - start, right - start]].tolist()
+    else:
+        lo, hi = _eps_points([left, right]).tolist()
     best = _golden_min(lambda e: _count_bound(T, e, M, log_d0), lo, hi)
     return min(float(vals[i - start]), _count_bound(T, best, M, log_d0))
 

@@ -190,6 +190,38 @@ class TestVerifyCommand:
             assert out == ""
             assert err.startswith("error: CHEB_SIEVE_LIMIT must be a positive integer")
 
+    def test_sieve_limit_cap(self, capsys, monkeypatch):
+        # a limit above MAX_SIEVE_LIMIT, from the option or the environment,
+        # is a usage error raised before anything is sieved; the cap itself
+        # is accepted
+        from chebotarev import verifier
+
+        cap = verifier.MAX_SIEVE_LIMIT
+        assert cap == 2**46 and math.log(cap) < 32
+        sieve = verifier._segments
+
+        def no_sieve(stops):
+            raise AssertionError("sieved with a limit above the cap")
+
+        monkeypatch.setattr(verifier, "_segments", no_sieve)
+        for limit in (cap + 1, 10**23, "1" * 5000):
+            code, out, err = run(capsys, "verify", "--disc", "5", "--x", "10",
+                                 "--sieve-limit", str(limit))
+            assert (code, out) == (2, ""), err
+            assert "error:" in err and "Traceback" not in err
+            monkeypatch.setenv("CHEB_SIEVE_LIMIT", str(limit))
+            code, out, err = run(capsys, "verify", "--disc", "5", "--x", "10")
+            assert (code, out) == (2, ""), err
+            assert err.startswith("error: CHEB_SIEVE_LIMIT must be at most 70368744177664")
+            monkeypatch.delenv("CHEB_SIEVE_LIMIT")
+        monkeypatch.setattr(verifier, "_segments", sieve)
+        for argv in (["--sieve-limit", str(cap)], ["--sieve-limit", "0" + str(cap)]):
+            code, out, _ = run(capsys, "verify", "--disc", "5", "--x", "10", *argv)
+            assert code == 0 and out
+        monkeypatch.setenv("CHEB_SIEVE_LIMIT", "0" * 40 + str(cap))
+        code, out, _ = run(capsys, "verify", "--disc", "5", "--x", "10")
+        assert code == 0 and out
+
     @pytest.mark.parametrize("argv", [
         ["--x", "nan"],
         ["--x", "inf"],

@@ -73,6 +73,38 @@ def psi_oracle(D: int, x: float) -> tuple[float, float]:
     return math.fsum(ident), math.fsum(nontriv)
 
 
+def euler_chi(D: int, primes: np.ndarray) -> np.ndarray:
+    """(D/p) for each prime p, by Euler's criterion D^((p-1)/2) mod p on
+    int64 arrays (exact while p^2 < 2^63), and (D/2) from D mod 8."""
+    base = D % primes
+    exp = (primes - 1) // 2
+    res = np.ones_like(primes)
+    while exp.any():
+        odd = (exp & 1) == 1
+        res[odd] = res[odd] * base[odd] % primes[odd]
+        base = base * base % primes
+        exp >>= 1
+    chi = np.where(res == 1, 1, np.where(res == 0, 0, -1))
+    chi[primes == 2] = 0 if D % 2 == 0 else 1 if D % 8 == 1 else -1
+    return chi
+
+
+def fsum_reference(primes, chi, logs, x) -> tuple[float, float, float]:
+    """(psi_identity, psi_nontrivial, unramified_total) at x: math.fsum of
+    the first powers plus math.fsum of the higher powers, per class."""
+    first = primes <= x
+    square = primes * primes <= x  # only these have a higher power <= x
+    extra = {1: [], -1: [], 0: []}  # identity, nontrivial, all
+    for p, c, lg in zip(primes[square], chi[square], logs[square]):
+        pm, m = p * p, 2
+        while c and pm <= x:
+            extra[1 if c == 1 or m % 2 == 0 else -1].append(lg)
+            extra[0].append(lg)
+            pm, m = pm * p, m + 1
+    return tuple(math.fsum(logs[first & mask]) + math.fsum(extra[c])
+                 for c, mask in ((1, chi == 1), (-1, chi == -1), (0, chi != 0)))
+
+
 FUNDAMENTAL = [-4, -3, 5, 8, -8, 12, -7, 13, -20]
 NOT_FUNDAMENTAL = [0, 1, 9, 4, -12, 25, 18, 45, -9]
 
@@ -216,18 +248,49 @@ class TestPrimeInfrastructure:
                 assert abs(r.psi_nontrivial - o_non) < 1e-9
 
     def test_class_sums_stay_exact(self):
-        # a segment holds at most (_SEGMENT + 1) // 2 odd numbers and the
-        # prime 2; per class its sums of 29-bit halves must stay below 2^53,
-        # where float64 still holds every integer
-        assert ((verifier._SEGMENT + 1) // 2 + 1) * 2**29 < 2**53
+        # every prime swept is at most MAX_SIEVE_LIMIT < e^32, so its log in
+        # units of 2^-53 is below 2^58 and each 29-bit half below 2^29.  A
+        # segment holds at most (_SEGMENT + 1) // 2 odd numbers and the prime
+        # 2, so each per-segment int64 sum of a half times chi^0, chi or chi^2
+        # stays below 2^63: the largest such sums come out exact
+        assert math.log(verifier.MAX_SIEVE_LIMIT) * verifier._UNIT < 2**58
+        n = (verifier._SEGMENT + 1) // 2 + 1
+        assert n * 2**29 < 2**63
+        full = n * (2**29 - 1)
+        for c, want in ((1, [full, full, full]), (-1, [full, -full, full]), (0, [full, 0, 0])):
+            half = np.full(n, 2**29 - 1, dtype=np.int64)
+            assert verifier._chi_moments(half, np.full(n, c, dtype=np.int8)) == want
 
-    def test_import_builds_no_wheel(self):
-        code = ("import chebotarev.cli\n"
+    def test_import_builds_no_array(self):
+        # numpy traces the data of every array it allocates in its own
+        # tracemalloc domain: importing the CLI and the verifier adds none
+        code = ("import tracemalloc\n"
+                "import numpy as np\n"
+                "tracemalloc.start()\n"
+                "import chebotarev.cli\n"
                 "from chebotarev import verifier\n"
-                "print(verifier._wheel.cache_info().currsize)\n")
+                "arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)\n"
+                "snap = tracemalloc.take_snapshot().filter_traces([arrays])\n"
+                "print(len(snap.traces))\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "0"
+
+    def test_sweep_peak_memory(self):
+        # a sweep to 3e6, with everything it builds (wheel pattern, base
+        # primes, residue table), peaks below 2.5 MiB under tracemalloc,
+        # which sees numpy's array data.  Its first segment, the largest,
+        # holds at once 82 025 primes, their character values and their
+        # logs as float64 and as int64: 2.0 MiB
+        code = ("import tracemalloc\n"
+                "import numpy\n"
+                "from chebotarev import verifier\n"
+                "tracemalloc.start()\n"
+                "verifier._sweep(5, [3e6], 10**9)\n"
+                "print(tracemalloc.get_traced_memory()[1])\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) < 2.5 * 2**20
 
     def test_miller_rabin(self):
         primes = set(trial_primes(2000))
@@ -316,18 +379,29 @@ class TestEquidistReport:
             logs = np.log(primes.astype(np.float64))
             grid = [20_000.0, 3_000.5, 1_000.0]
             for x, r in zip(grid, equidist_report(QuadraticField(D), grid)):
-                first = primes <= x
-                extra = {1: [], -1: [], 0: []}  # identity, nontrivial, all
-                for p, c, lg in zip(primes[first], chi[first], logs[first]):
-                    pm, m = p * p, 2
-                    while c and pm <= x:
-                        extra[1 if c == 1 or m % 2 == 0 else -1].append(lg)
-                        extra[0].append(lg)
-                        pm, m = pm * p, m + 1
-                for got, c, mask in ((r.psi_identity, 1, chi == 1),
-                                     (r.psi_nontrivial, -1, chi == -1),
-                                     (r.unramified_total, 0, chi != 0)):
-                    assert got == math.fsum(logs[first & mask]) + math.fsum(extra[c])
+                assert (r.psi_identity, r.psi_nontrivial, r.unramified_total) == \
+                    fsum_reference(primes, chi, logs, x)
+
+    def test_sums_are_exactly_rounded_at_full_segments(self):
+        # the sweep at its own 2^20-number segments against a reference that
+        # shares none of its code: a plain sieve, the character by Euler's
+        # criterion, np.log of the primes as floats and math.fsum.  |D| =
+        # 999997 and 1000003 lie on each side of the residue table's cut-off
+        N = 3_000_000
+        flags = np.ones(N + 1, dtype=bool)
+        flags[:2] = False
+        for p in range(2, math.isqrt(N) + 1):
+            if flags[p]:
+                flags[p * p :: p] = False
+        primes = np.flatnonzero(flags)
+        logs = np.log(primes.astype(np.float64))
+        grid = [2.0**20, 2.0**20 + 1, 2.0**21 + 3, 3e6]
+        assert verifier._SEGMENT == 2**20
+        for D in (-4, 5, -4999, 999997, -1000003):
+            chi = euler_chi(D, primes)
+            for x, r in zip(grid, equidist_report(QuadraticField(D), grid)):
+                assert (r.psi_identity, r.psi_nontrivial, r.unramified_total) == \
+                    fsum_reference(primes, chi, logs, x), (D, x)
 
     def test_error_decays_statistically(self):
         rng = np.random.default_rng(1)

@@ -146,6 +146,15 @@ class TestAlpha0Window:
         assert zeros._COARSE_IDX == np.linspace(0, 99_999, 257).astype(np.intp).tolist()
         assert np.array_equal(zeros._eps_points(zeros._COARSE_IDX), grid[zeros._COARSE_IDX])
 
+    def test_coarse_points_built_once_read_only(self):
+        coarse = zeros._coarse_eps()
+        want = np.geomspace(1e-3, 50.0, 100_000)[zeros._COARSE_IDX]
+        assert np.array_equal(coarse.view(np.int64), want.view(np.int64))
+        assert not coarse.flags.writeable
+        with pytest.raises(ValueError):
+            coarse[0] = 1.0
+        assert zeros._coarse_eps() is coarse
+
     def test_import_builds_no_grid(self):
         code = ("import sys\n"
                 "from chebotarev import zeros\n"
