@@ -11,6 +11,9 @@ modified Bessel integrals
 
     K_n(z, y) = (1/2) int_y^inf v^(n-1) e^(-(z/2)(v + 1/v)) dv.
 
+bessel_K evaluates them with the standard library alone, by a trapezoid
+rule in u = log(v - y) whose step halves until two sums agree to 1e-14.
+
 For large z and y bounded away from 1 the Rosser-Schoenfeld estimate
 
     K_2(z, w) <= sqrt(pi/2) e^(-z)/sqrt(z) (1 + 15/(8z) + 105/(128 z^2))
@@ -39,53 +42,57 @@ __all__ = [
     "ell7",
 ]
 
-_QUAD_REL = 1e-12
-# integration stops where the integrand has fallen below this fraction of
-# its peak
-_TAIL_CUT = 1e-18
-
-
-def _k_integrand_log(n: float, z: float, v: float) -> float:
-    return (n - 1.0) * math.log(v) - (z / 2.0) * (v + 1.0 / v)
+_TAIL_CUT = 1e-18  # the walk stops at this fraction of the peak term
+_STEP_REL = 1e-14  # two successive trapezoid sums agree to this, relative
 
 
 def bessel_K(n: float, z: float, y: float) -> float:
-    """Incomplete Bessel integral K_n(z, y), adaptive quadrature.
+    """Incomplete Bessel integral K_n(z, y) by the trapezoid rule.
 
-    The integrand is unimodal in v with double-exponential decay on both
-    flanks; the finite truncation point is chosen so the discarded tail is
-    below 1e-18 of the peak value, then refined to 1e-10 relative or
-    better by adaptive quadrature.
+    In u, v = y + e^u, the integrand g(u) = (1/2) v^(n-1) e^(-(z/2)(v+1/v)) e^u
+    has one peak and decays at least exponentially on both flanks, so
+    trapezoid sums converge geometrically as the step halves.  They start at
+    the peak with step 1/2, walk out until the terms fall below 1e-18 of the
+    peak term, and halve the step until two sums agree to 1e-14 relative.  A
+    value below the float range is 0.0; overflow, a walk past 4095 steps or
+    sums apart after 12 halvings raise NumericError.
     """
-    # imported here so that the constants path (tables, bound, params),
-    # which never integrates, does not pay for loading scipy
-    from scipy.integrate import quad
-
-    if n <= 0 or z <= 0:
+    if not (n > 0 and z > 0):
         raise DomainError(f"need n > 0 and z > 0, got n={n}, z={z}")
-    if y < 0:
+    if not y >= 0:
         raise DomainError(f"y must be >= 0, got {y}")
+    if y == math.inf:
+        return 0.0  # an empty range
 
-    # peak of v^(n-1) e^(-(z/2)(v+1/v)): root of (n-1)/v = (z/2)(1 - 1/v^2)
-    q = (n - 1.0) / z
-    v_peak = max(q + math.sqrt(q * q + 1.0), y + 1e-12)
-    peak_log = _k_integrand_log(n, z, max(v_peak, y))
+    def g(u: float) -> float:
+        v = y + math.exp(u)
+        return 0.5 * math.exp(u + (n - 1.0) * math.log(v) - 0.5 * z * (v + 1.0 / v))
 
-    cut = peak_log + math.log(_TAIL_CUT)
-    hi = max(2.0 * v_peak, y + 1.0)
-    while _k_integrand_log(n, z, hi) > cut:
-        hi *= 2.0
-        if hi > 1e300:
-            raise NumericError("K_n truncation point diverged")
+    def rising(u: float) -> bool:  # d log g/du > 0; its one zero is the peak
+        t = math.exp(u)
+        v = y + t
+        return t * (0.5 * z * (1.0 - 1.0 / (v * v)) - (n - 1.0) / v) < 1.0
 
-    def f(v: float) -> float:
-        return 0.5 * math.exp(_k_integrand_log(n, z, v))
-
-    interior = [p for p in (v_peak,) if y < p < hi]
-    val, err = quad(f, y, hi, points=interior or None, limit=400, epsabs=0.0, epsrel=_QUAD_REL)
-    if val > 0 and err > 1e-9 * val:
-        raise NumericError(f"K_{n}({z},{y}) quadrature error {err:.2e} too large")
-    return val
+    try:
+        lo, hi = -746.0, 710.0  # e^u over the whole float range
+        for _ in range(52):  # bisection: the peak to within 3e-13
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+        h, cut = 0.5, _TAIL_CUT * g(lo)
+        # steps out to either side until a term is at most cut; 0 if never
+        ends = [next((k for k in range(1, 4096) if g(lo + k * s) <= cut), 0) for s in (-h, h)]
+        if not all(ends):
+            raise NumericError(f"K_{n}({z},{y}): the integrand does not decay")
+        start, count = lo - ends[0] * h, sum(ends)
+        total = math.fsum(h * g(start + k * h) for k in range(count + 1))
+        for _ in range(12):
+            new = 0.5 * total + math.fsum(0.5 * h * g(start + (k + 0.5) * h) for k in range(count))
+            if abs(new - total) <= _STEP_REL * new:
+                return new
+            total, h, count = new, 0.5 * h, 2 * count
+    except (OverflowError, ZeroDivisionError, ValueError):
+        raise NumericError(f"K_{n}({z},{y}) is out of the float range") from None
+    raise NumericError(f"K_{n}({z},{y}): the trapezoid sums did not settle")
 
 
 def bessel_I(n: float, m: float, alpha: float, beta: float, l: float) -> float:

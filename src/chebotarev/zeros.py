@@ -96,22 +96,9 @@ def c123(a: float, eps: float, T: float) -> tuple[float, float, float]:
     return c1, c2, c3
 
 
-def _count_bound(T: float, eps: float, M: float, log_d0: float) -> float:
-    """B(T, eps): per-log-d_L zero count after the Minkowski substitution.
-
-    Summing the c123 bound over characters with window radius a = T and
-    center 0 gives N_L(T) <= (c1 + c2 M + c3/log d0) log d_L.  This is
-    c123(T, eps, 0.0) written out, bit for bit: at center 0 both square
-    roots collapse, so c3 = (2 c1) * 2.0 = 4 c1 exactly.
-    """
-    one = 1.0 + eps
-    c1 = (one * one + T * T) / (2.0 * eps)
-    c2 = c1 * math.log(2.0 + eps) + 2.0 * c1 * (1.0 / eps + 539.0 / 268.0)
-    c3 = 4.0 * c1
-    return c1 + c2 * M + c3 / log_d0
-
-
 def _count_bound_vec(T: float, eps: np.ndarray, M: float, log_d0: float) -> np.ndarray:
+    """B(T, eps) = c1 + c2 M + c3/log d0, (c1, c2, c3) = c123(T, eps, 0.0),
+    at an array of eps; summing c123 over characters, N_L(T) <= B log d_L."""
     import numpy as np
 
     one = 1.0 + eps
@@ -204,8 +191,12 @@ def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
         lo, hi = window[[left - start, right - start]].tolist()
     else:
         lo, hi = _eps_points([left, right]).tolist()
-    best = _golden_min(lambda e: _count_bound(T, e, M, log_d0), lo, hi)
-    return min(float(vals[i - start]), _count_bound(T, best, M, log_d0))
+
+    def count_bound(eps: float) -> float:
+        c1, c2, c3 = c123(T, eps, 0.0)
+        return c1 + c2 * M + c3 / log_d0
+
+    return min(float(vals[i - start]), count_bound(_golden_min(count_bound, lo, hi)))
 
 
 def alpha0(T: float, row: MinkowskiRow) -> float:

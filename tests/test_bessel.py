@@ -1,9 +1,11 @@
 """Incomplete Bessel integrals, their reduction identity, and the tail
 constants ell_6 / ell_7."""
 
+import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scipy.integrate import quad, simpson
 from chebotarev import (
     BesselArgs,
     DomainError,
+    NumericError,
     RegimeThreshold,
     bessel_I,
     bessel_K,
@@ -27,6 +30,47 @@ def simpson_K(n: float, z: float, y: float, points: int = 400_001, hi: float = 8
     xs = np.linspace(max(y, 1e-12), hi, points)
     ys = 0.5 * xs ** (n - 1) * np.exp(-(z / 2) * (xs + 1.0 / xs))
     return float(simpson(ys, x=xs))
+
+
+def quad_K(n: float, z: float, y: float) -> float:
+    """Independent adaptive oracle for K_n: scipy's quad at epsrel 1e-12 on
+    [y, hi], split at the peak, with hi where the integrand has fallen below
+    1e-18 of its peak value."""
+
+    def log_f(v: float) -> float:
+        return (n - 1.0) * math.log(v) - (z / 2.0) * (v + 1.0 / v)
+
+    q = (n - 1.0) / z
+    v_peak = max(q + math.sqrt(q * q + 1.0), y + 1e-12)
+    cut = log_f(v_peak) + math.log(1e-18)
+    hi = max(2.0 * v_peak, y + 1.0)
+    while log_f(hi) > cut:
+        hi *= 2.0
+    points = [v_peak] if y < v_peak < hi else None
+    return quad(lambda v: 0.5 * math.exp(log_f(v)), y, hi, points=points, limit=400,
+                epsabs=0.0, epsrel=1e-12)[0]
+
+
+def oracle_grid(count: int = 320) -> list[tuple[float, float, float]]:
+    """Seeded (n, z, y) with n in [0.5, 3.5], z in [1e-2, 500] and y at 0,
+    just above 0, below and above the integrand's peak in v, and uniform in
+    [0, 10]; every y is at most 10."""
+    rng = np.random.default_rng(11)
+    grid = []
+    for i in range(count):
+        n = rng.uniform(0.5, 3.5)
+        z = 10 ** rng.uniform(-2.0, math.log10(500.0))
+        q = (n - 1.0) / z
+        v_peak = q + math.sqrt(q * q + 1.0)
+        y = (
+            0.0,
+            10 ** rng.uniform(-15.0, -3.0),
+            v_peak * rng.uniform(0.3, 0.999),
+            v_peak * rng.uniform(1.001, 2.0),
+            rng.uniform(0.0, 10.0),
+        )[i % 5]
+        grid.append((n, z, min(y, 10.0)))
+    return grid
 
 
 def direct_I(n: float, m: float, a: float, b: float, l: float) -> float:
@@ -74,19 +118,46 @@ class TestBesselK:
         with pytest.raises(DomainError):
             bessel_K(2.0, 1.0, -0.5)
 
-    def test_scipy_loaded_only_on_first_call(self):
-        # the constants path (tables, bound, params) never integrates, so
-        # importing the package and its CLI must not load scipy
-        code = (
-            "import sys, chebotarev, chebotarev.cli\n"
-            "assert 'scipy' not in sys.modules, 'scipy imported eagerly'\n"
-            "print(repr(chebotarev.bessel_K(2.0, 2.0, 1.0)))\n"
+    def test_matches_quad_oracle(self):
+        # below the normal range a float holds fewer than 11 digits, so the
+        # check there is absolute, at 1e-11 of the smallest normal float
+        for n, z, y in oracle_grid():
+            got, want = bessel_K(n, z, y), quad_K(n, z, y)
+            assert math.isclose(got, want, rel_tol=1e-11, abs_tol=1e-11 * sys.float_info.min), (n, z, y)
+
+    def test_underflow_is_zero_in_bounded_time(self):
+        # y = 1e300 absorbs e^u in y + e^u, so a walk on relative terms
+        # would never leave the peak
+        for args in ((2.0, 1e6, 0.5), (2.0, 800.0, 0.0), (2.0, 2.0, 1e300)):
+            start = time.perf_counter()
+            assert bessel_K(*args) == 0.0
+            assert time.perf_counter() - start < 1.0, args
+
+    def test_overflow_is_numeric_error(self):
+        with pytest.raises(NumericError):
+            bessel_K(300.0, 1.0, 0.0)
+
+    def test_package_never_loads_scipy(self):
+        # with scipy blocked, every command and both integrals still run and
+        # give the in-process values
+        run = (
+            "import contextlib, io\n"
+            "from chebotarev import bessel_I, bessel_K, cli\n"
+            "out = []\n"
+            "for argv in (['tables', '--id', '4'], ['params', '--n0', '7'],\n"
+            "             ['bound', '--nL', '5', '--dL', '1e6', '--logx', '1e5'],\n"
+            "             ['verify', '--disc', '5', '--x', '1e5']):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        out.append([cli.main(argv), buf.getvalue()])\n"
+            "out += [bessel_K(2.0, 2.0, 1.0), bessel_I(2.0, 1.0, 3.0, 2.0, 5.0)]\n"
         )
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        blocked = "import json, sys\nsys.modules['scipy'] = None\n" + run + "print(json.dumps(out))\n"
+        res = subprocess.run([sys.executable, "-c", blocked], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert float(res.stdout) == bessel_K(2.0, 2.0, 1.0)
-        want = simpson_K(2.0, 2.0, 1.0)
-        assert abs(float(res.stdout) - want) <= 1e-8 * want
+        here: dict = {}
+        exec(run, here)
+        assert json.loads(res.stdout) == here["out"]
 
 
 class TestBesselI:

@@ -91,7 +91,9 @@ class TestAlpha0:
             alpha0(0.0, minkowski_lookup(2))
 
     def test_scalar_objective_equals_c123(self):
-        # the golden section's B is c123(T, eps, 0.0) written out: same bits
+        # the golden section's B is c123(T, eps, 0.0); at window center 0
+        # both square roots collapse, so it equals B written out with
+        # c3 = 4 c1, bit for bit
         rng = np.random.default_rng(20261018)
         rows = list(MINKOWSKI_TABLE)
         n = 100_000
@@ -99,8 +101,11 @@ class TestAlpha0:
         epss = np.geomspace(1e-3, 50.0, n)[rng.permutation(n)].tolist()
         for T, eps, r in zip(Ts, epss, rng.integers(0, len(rows), n).tolist()):
             row = rows[r]
+            one = 1.0 + eps
+            w1 = (one * one + T * T) / (2.0 * eps)
+            w2 = w1 * math.log(2.0 + eps) + 2.0 * w1 * (1.0 / eps + 539.0 / 268.0)
             c1, c2, c3 = c123(T, eps, 0.0)
-            assert zeros._count_bound(T, eps, row.M, row.log_d0) == c1 + c2 * row.M + c3 / row.log_d0
+            assert c1 + c2 * row.M + c3 / row.log_d0 == w1 + w2 * row.M + 4.0 * w1 / row.log_d0
 
 
 def full_grid_alpha0(T: float, M: float, log_d0: float) -> tuple[float, np.ndarray, int]:
@@ -109,7 +114,11 @@ def full_grid_alpha0(T: float, M: float, log_d0: float) -> tuple[float, np.ndarr
     eps = np.geomspace(1e-3, 50.0, 100_000)
     vals = zeros._count_bound_vec(T, eps, M, log_d0)
     i = int(np.argmin(vals))
-    B = lambda e: zeros._count_bound(T, e, M, log_d0)
+
+    def B(e: float) -> float:
+        c1, c2, c3 = c123(T, e, 0.0)
+        return c1 + c2 * M + c3 / log_d0
+
     best = zeros._golden_min(B, eps[max(0, i - 2)], eps[min(len(eps) - 1, i + 2)])
     return min(float(vals[i]), B(best)), vals, i
 
