@@ -51,13 +51,13 @@ def quad_K(n: float, z: float, y: float) -> float:
                 epsabs=0.0, epsrel=1e-12)[0]
 
 
-def oracle_grid(count: int = 320) -> list[tuple[float, float, float]]:
-    """Seeded (n, z, y) with n in [0.5, 3.5], z in [1e-2, 500] and y at 0,
+def oracle_grid() -> list[tuple[float, float, float]]:
+    """320 seeded (n, z, y) with n in [0.5, 3.5], z in [1e-2, 500] and y at 0,
     just above 0, below and above the integrand's peak in v, and uniform in
     [0, 10]; every y is at most 10."""
     rng = np.random.default_rng(11)
     grid = []
-    for i in range(count):
+    for i in range(320):
         n = rng.uniform(0.5, 3.5)
         z = 10 ** rng.uniform(-2.0, math.log10(500.0))
         q = (n - 1.0) / z
