@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
-from .zeros import ALPHA1, ALPHA2, ALPHA3
+from .zeros import ALPHA1, ALPHA2, ALPHA3, _bisect
 
 __all__ = [
     "bessel_K",
@@ -74,10 +74,7 @@ def bessel_K(n: float, z: float, y: float) -> float:
         return t * (0.5 * z * (1.0 - 1.0 / (v * v)) - (n - 1.0) / v) < 1.0
 
     try:
-        lo, hi = -746.0, 710.0  # e^u over the whole float range
-        for _ in range(52):  # bisection: the peak to within 3e-13
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+        lo = _bisect(rising, -746.0, 710.0)[0]  # e^u over the whole float range
         h, cut = 0.5, _TAIL_CUT * g(lo)
         # steps out to either side until a term is at most cut; 0 if never
         ends = [next((k for k in range(1, 4096) if g(lo + k * s) <= cut), 0) for s in (-h, h)]

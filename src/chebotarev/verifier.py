@@ -353,16 +353,13 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
         raise ResourceError(f"x = {max(xs)} exceeds the sieve limit {lim}")
     stops = sorted({math.floor(x) for x in xs})
     top = stops[-1]
-    modulus, table, seen = abs(D), None, 0
+    # (D/p) is a character mod |D|.  Up to |D| = 10^6 its table takes a few
+    # ms at most to build and a lookup ~7 ns a prime; above that, one symbol
+    # call a prime
+    modulus = abs(D)
+    table = _residue_table(D) if modulus <= 10**6 else None
     first, higher, powers, sums = [0, 0, 0], [0, 0, 0], [], {}
     for hi, primes in _segments(stops):
-        # (D/p) is a character mod |D|.  Its table costs under 10 ns a
-        # residue against 1-4 us for one symbol call, so it is built once the
-        # primes seen outnumber 1/256 of the residues: the calls made before
-        # then cost about what the table does
-        seen += len(primes)
-        if table is None and modulus <= 10**6 and seen * 256 > modulus:
-            table = _residue_table(D)
         chi = table[primes % modulus] if table is not None else np.array(
             [kronecker_symbol(D, int(p)) for p in primes], dtype=np.int8)
         # p < 2^46 converts exactly, and log p * 2^53 is an integer below 2^58

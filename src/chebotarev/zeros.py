@@ -22,10 +22,10 @@ alpha4 and a_beta0, are properties of constants.TuningConfig.
 
 Everything here is a pure function of its arguments.  The one-dimensional
 eps-minimization runs on a fixed 100 000-point geometric eps grid, but no
-call builds that grid: alpha0 reads only ~1 000 of its points, computed
-by numpy's own geomspace formula.  The 257 coarse points every call reads
-are computed once, on the first call, and kept read-only; the window
-around their argmin is computed per call and freed on return.
+call builds that grid: alpha0 narrows an index range in rounds of 513
+evenly spaced points, then reads every point of the last range, about
+900 points in all, each computed by numpy's own geomspace formula and
+freed on return.
 numpy loads with the first alpha0 call; importing this module loads none.
 alpha0 memoizes its result: it depends only on T and the row, and one
 table or one delta0 bisection asks for the same few values many times.
@@ -34,7 +34,7 @@ table or one delta0 bisection asks for the same few values many times.
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericError
@@ -133,9 +133,9 @@ def _golden_min(f, lo: float, hi: float) -> float:
 
 _EPS_LO, _EPS_HI = 1e-3, 50.0
 _GRID_SIZE = 100_000
-# every ~391st grid index, both ends included: the integer part of
-# numpy.linspace(0, _GRID_SIZE - 1, 257), whose steps are exact in float64
-_COARSE_IDX = [i * (_GRID_SIZE - 1) // 256 for i in range(257)]
+# intervals a narrowing round samples: any _FAN >= 3 narrows (2 would not
+# when the middle sample wins); 512 needs one round before the last
+_FAN = 512
 
 
 def _eps_points(idx) -> np.ndarray:
@@ -153,55 +153,48 @@ def _eps_points(idx) -> np.ndarray:
     return pts
 
 
-@cache
-def _coarse_eps() -> np.ndarray:
-    """The eps grid at _COARSE_IDX, read-only.  Every cold alpha0 call reads
-    these same 257 points, so the first one computes them for all."""
-    pts = _eps_points(_COARSE_IDX)
-    pts.flags.writeable = False
-    return pts
-
-
 @lru_cache(maxsize=512)
 def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
-    # Guarded 1-D minimization: the argmin of B(T, .) over the dense eps
-    # grid, refined by golden section.  B is unimodal on [1e-3, 50]
-    # (tests/test_zeros.py checks it on the full grid), so its full-grid
-    # argmin lies between the two coarse neighbours of the coarse argmin k.
-    # Evaluating the coarse subset, then that window at full resolution,
-    # gives the same index i and the same vals[i], bit for bit, as
-    # evaluating all 100 000 points.  B grows like 1/eps^2 at the small end,
-    # so overflow shows first at grid index 0, which the coarse subset holds.
+    # Guarded 1-D minimization: the argmin of B(T, .) over the eps grid,
+    # refined by golden section.  B is unimodal on [1e-3, 50]
+    # (tests/test_zeros.py checks it on the full grid), so its grid argmin
+    # lies between the two sampled neighbours of a sampled argmin.  Each
+    # round samples _FAN + 1 evenly spaced indices of [lo, hi] and narrows
+    # to those neighbours.  The last round evaluates every index of
+    # [lo - 2, hi + 2], clamped to the grid: it finds the argmin i, with the
+    # same vals[i], bit for bit, as evaluating all 100 000 points, and holds
+    # the golden-section bracket i - 2 .. i + 2.  B grows like 1/eps^2 at the
+    # small end, so overflow shows first at grid index 0, which the first
+    # round holds.
     import numpy as np
 
-    coarse = _count_bound_vec(T, _coarse_eps(), M, log_d0)
-    if not np.all(np.isfinite(coarse)):
-        raise NumericError("zero-count bound overflowed during minimization")
-    k = int(np.argmin(coarse))
-    start = _COARSE_IDX[max(0, k - 1)]
-    stop = _COARSE_IDX[min(len(_COARSE_IDX) - 1, k + 1)] + 1
-    window = _eps_points(np.arange(start, stop))
-    vals = _count_bound_vec(T, window, M, log_d0)
-    i = start + int(np.argmin(vals))
-    # the golden section brackets grid points i - 2 .. i + 2, clamped to the
-    # grid; the window already holds them unless i sits at its edge.  Each
-    # point is the same elementwise formula either way
-    left, right = max(0, i - 2), min(_GRID_SIZE - 1, i + 2)
-    if start <= left and right < stop:
-        lo, hi = window[[left - start, right - start]].tolist()
-    else:
-        lo, hi = _eps_points([left, right]).tolist()
+    lo, hi = 0, _GRID_SIZE - 1
+    while True:
+        last = hi - lo <= _FAN
+        if last:
+            idx = np.arange(max(0, lo - 2), min(_GRID_SIZE, hi + 3))
+        else:
+            idx = lo + np.arange(_FAN + 1) * (hi - lo) // _FAN
+        pts = _eps_points(idx)
+        vals = _count_bound_vec(T, pts, M, log_d0)
+        if not np.all(np.isfinite(vals)):
+            raise NumericError("zero-count bound overflowed during minimization")
+        k = int(np.argmin(vals))
+        if last:
+            break
+        lo, hi = int(idx[max(0, k - 1)]), int(idx[min(_FAN, k + 1)])
+    left, right = pts[[max(0, k - 2), min(len(idx) - 1, k + 2)]].tolist()
 
     def count_bound(eps: float) -> float:
         c1, c2, c3 = c123(T, eps, 0.0)
         return c1 + c2 * M + c3 / log_d0
 
-    return min(float(vals[i - start]), count_bound(_golden_min(count_bound, lo, hi)))
+    return min(float(vals[k]), count_bound(_golden_min(count_bound, left, right)))
 
 
 def alpha0(T: float, row: MinkowskiRow) -> float:
     """min over eps > 0 of B(T, eps):  N_L(T) <= alpha0(T) log d_L."""
-    if T <= 0:
+    if not T > 0:
         raise DomainError(f"T must be positive, got {T}")
     return _alpha0_cached(float(T), row.M, row.log_d0)
 

@@ -1,8 +1,10 @@
 """Zero-counting coefficients, the density kernel, and threshold pairs."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from chebotarev import (
     ALPHA3,
     DomainError,
     FieldParams,
+    NumericError,
     P_E_L,
     Q_kernel,
     Q_kernel_partial_u,
@@ -90,6 +93,15 @@ class TestAlpha0:
         with pytest.raises(DomainError):
             alpha0(0.0, minkowski_lookup(2))
 
+    def test_rejects_nan_T(self):
+        with pytest.raises(DomainError):
+            alpha0(math.nan, minkowski_lookup(2))
+
+    def test_overflow_is_numeric_error(self):
+        # T^2 overflows, so B(T, eps) is inf at every eps
+        with pytest.raises(NumericError, match="overflowed"):
+            alpha0(1e155, minkowski_lookup(2))
+
     def test_scalar_objective_equals_c123(self):
         # the golden section's B is c123(T, eps, 0.0); at window center 0
         # both square roots collapse, so it equals B written out with
@@ -128,12 +140,26 @@ def assert_unimodal(vals: np.ndarray, i: int) -> None:
     assert np.all(steps[:i] < 0) and np.all(steps[i:] > 0)
 
 
-class TestAlpha0Window:
-    """alpha0 evaluates a coarse subset of its eps grid and then one window
-    at full resolution; that is exact only while B(T, .) is unimodal."""
+def height_with_argmin(eps: float, M: float, log_d0: float) -> float | None:
+    """The T > 0 at which eps is the stationary point of B(T, .), or None.
 
-    # T = 50..55 puts the argmin in the last two coarse steps of the grid,
-    # and from T ~ 55 on it sits on the upper edge
+    B = ((1+eps)^2 + T^2) q(eps) with q = h/(2 eps) and
+    h = 1 + M (log(2+eps) + 2/eps + 1078/268) + 4/log d0, so dB/deps = 0
+    gives T^2 = -2 (1+eps) q/q' - (1+eps)^2."""
+    h = 1.0 + M * (math.log(2.0 + eps) + 2.0 / eps + 1078.0 / 268.0) + 4.0 / log_d0
+    dh = M * (1.0 / (2.0 + eps) - 2.0 / eps**2)
+    q, dq = h / (2.0 * eps), dh / (2.0 * eps) - h / (2.0 * eps**2)
+    t2 = -2.0 * (1.0 + eps) * q / dq - (1.0 + eps) ** 2
+    return math.sqrt(t2) if t2 > 0 else None
+
+
+class TestAlpha0Window:
+    """alpha0 narrows an index range of its eps grid by sampling it, then
+    evaluates the last range in full; that is exact only while B(T, .) is
+    unimodal."""
+
+    # T = 50..55 puts the argmin in the last few hundred indices of the
+    # grid, and from T ~ 55 on it sits on the upper edge
     HEIGHTS = [*np.geomspace(1e-6, 1e6, 25), *np.linspace(50.0, 55.0, 11)]
 
     def test_matches_full_grid_bit_for_bit(self):
@@ -144,25 +170,69 @@ class TestAlpha0Window:
                 assert_unimodal(vals, i)
                 assert alpha0(float(T), row) == want, (row.n0, T)
                 argmins.add(i)
+        # the upper edge, where the last round's range is clamped, and the
+        # last first-round step (99 803, 99 999): 99 803 = 511 * 99 999 // 512
         assert 99_999 in argmins
-        assert any(zeros._COARSE_IDX[-2] < i < 99_999 for i in argmins)
+        assert any(99_803 < i < 99_999 for i in argmins)
+
+    def test_argmins_on_and_next_to_first_round_samples(self):
+        # seeded heights whose grid argmin is a first-round sample index s
+        # or one of its two neighbours: the first round then samples the
+        # argmin itself or a point one index from it
+        grid = np.geomspace(1e-3, 50.0, 100_000)
+        samples = [k * 99_999 // zeros._FAN for k in range(zeros._FAN + 1)]
+        rows = list(MINKOWSKI_TABLE)
+        rng = np.random.default_rng(20261018)
+        offsets = []
+        for _ in range(100):
+            row = rows[rng.integers(len(rows))]
+            reachable = [s for s in samples[1:-1]
+                         if height_with_argmin(grid[s - 1], row.M, row.log_d0)]
+            s = reachable[rng.integers(len(reachable))]
+            for d in (-1, 0, 1):
+                T = height_with_argmin(grid[s + d], row.M, row.log_d0)
+                want, vals, i = full_grid_alpha0(T, row.M, row.log_d0)
+                assert_unimodal(vals, i)
+                assert zeros._alpha0_cached(T, row.M, row.log_d0) == want, (row.n0, T)
+                offsets.append(i - s)
+        assert {offsets.count(d) for d in (-1, 0, 1)} == {100}
+
+    def test_any_fan_matches_full_grid(self, monkeypatch):
+        # the search is exact for any fan >= 3.  Small fans run many rounds
+        # and end on ranges a few indices wide, so the bracket i +- 2 often
+        # reaches past the last range's ends
+        pairs = [(float(T), row) for row in MINKOWSKI_TABLE[::3] for T in self.HEIGHTS[::2]]
+        wants = [full_grid_alpha0(T, row.M, row.log_d0)[0] for T, row in pairs]
+        for fan in (3, 4, 7, 256, 1024):
+            monkeypatch.setattr(zeros, "_FAN", fan)
+            for (T, row), want in zip(pairs, wants):
+                assert zeros._alpha0_cached.__wrapped__(T, row.M, row.log_d0) == want, (fan, row.n0, T)
+
+    def test_bit_for_bit_without_avx512(self):
+        # numpy picks its log and power kernels by CPU feature; the search
+        # must match the full grid on the kernels a CPU without AVX-512 runs
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_features__
+        found = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f)]
+        if not found:
+            pytest.skip("numpy reports no AVX-512 feature to disable")
+        tests = [f"{__file__}::TestAlpha0Window::{name}" for name in (
+            "test_matches_full_grid_bit_for_bit",
+            "test_argmins_on_and_next_to_first_round_samples")]
+        res = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+            env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found)},
+            cwd=Path(__file__).parents[1], capture_output=True, text=True)
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "2 passed" in res.stdout, res.stdout
 
     def test_grid_and_coarse_indices(self):
         # the full grid exists only here, as the oracle for the point formula
         grid = np.geomspace(1e-3, 50.0, 100_000)
         pts = zeros._eps_points(range(100_000))
         assert np.array_equal(pts.view(np.int64), grid.view(np.int64))
-        assert zeros._COARSE_IDX == np.linspace(0, 99_999, 257).astype(np.intp).tolist()
-        assert np.array_equal(zeros._eps_points(zeros._COARSE_IDX), grid[zeros._COARSE_IDX])
-
-    def test_coarse_points_built_once_read_only(self):
-        coarse = zeros._coarse_eps()
-        want = np.geomspace(1e-3, 50.0, 100_000)[zeros._COARSE_IDX]
-        assert np.array_equal(coarse.view(np.int64), want.view(np.int64))
-        assert not coarse.flags.writeable
-        with pytest.raises(ValueError):
-            coarse[0] = 1.0
-        assert zeros._coarse_eps() is coarse
 
     def test_import_builds_no_grid(self):
         code = ("import sys\n"
