@@ -409,7 +409,6 @@ def _bound_report(
 ) -> BoundReport:
     f = _finals_cached(min(field.n_L, 21), beta0_present)
     cfg = f.cfg
-    lam = lambda_L(field, cfg.m)
     n = field.n_L
     refined = n <= f.N0
 
@@ -434,6 +433,8 @@ def _bound_report(
         eps = None
         root = math.sqrt(log_x / n)
         if form is BoundForm.EXP:
+            # only exp and log read lambda_L, which overflows for m log Delta_L > 709.78
+            lam = lambda_L(field, cfg.m)
             details = {"max_E12": f.max_E12, "E3": f.E3, "decay": 1.0 / math.sqrt(R2)}
             if applicable:
                 decay = math.exp(-root / math.sqrt(R2))
@@ -442,6 +443,7 @@ def _bound_report(
                 else:
                     eps = f.max_E12 * lam * math.sqrt(n) * math.sqrt(log_x) * decay
         elif form is BoundForm.LOG:
+            lam = lambda_L(field, cfg.m)
             details = {"D12": f.D12, "D3": f.D3, "k": float(f.k)}
             if applicable:
                 if refined:

@@ -169,12 +169,11 @@ def _x_grid(text: str) -> list[float]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from .verifier import QuadraticField, equidist_report, sieve_limit
+    from .verifier import QuadraticField, equidist_report
 
     field = QuadraticField(args.disc)
     grid = [args.x] if args.x is not None else args.x_grid
-    limit = args.sieve_limit if args.sieve_limit is not None else sieve_limit()
-    rows = equidist_report(field, grid, limit)
+    rows = equidist_report(field, grid, args.sieve_limit)
     columns = ["x", "psi_identity", "psi_nontrivial", "ec_identity",
                "ec_nontrivial", "partition_check"]
     table_rows = []
@@ -275,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--x", type=float)
     group.add_argument("--x-grid", dest="x_grid", type=_x_grid, help="comma-separated x values")
-    p_verify.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=None)
+    p_verify.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=None,
+                          help="hard cap on x, an integer from 1 to 2^46 (default 10^9)")
     p_verify.add_argument("--format", choices=FORMATS, default="markdown")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)

@@ -15,18 +15,22 @@ the explicit bounds elsewhere in this package control.
 
 One ascending pass of a segmented sieve (segments of at most 2^20
 numbers, also cut at each x) serves a whole grid, so a grid costs about
-what its top x costs and memory is O(segment + sqrt(x)).  A segment holds
-flags for its odd numbers only, pre-marked with the multiples of 3..13 by
-repeating one period of a wheel pattern.  Log sums run exactly on integers
-in units of 2^-53 and are rounded once per x.
+what its top x costs and memory is O(segment + sqrt(x) + grid length).
+Every x is at most a sieve limit that the caller passes as `limit` (None
+means DEFAULT_SIEVE_LIMIT, 10^9; at most MAX_SIEVE_LIMIT, 2^46); the
+module reads no environment variable.  A segment holds flags for its odd
+numbers only, pre-marked with the multiples of 3..13 by repeating one
+period of a wheel pattern.  Log sums run exactly on integers in units of
+2^-53 and are rounded once per x.
 
 Importing this module builds no array, and nothing outlives a sweep.  One
 sweep holds the wheel pattern (30 030 flags), the base primes up to
-sqrt(x), the character's table of residues mod |D| (for |D| <= 10^6) and
-one segment at a time.  A segment's 2^19 flags are freed once its primes
-are listed.  Its class sums then take the primes' logs as int64, split
-into two 29-bit halves, and multiply the character values into each half
-in place: no class-index array and no weighted copies.
+sqrt(x), the character's table of residues mod |D| (for |D| <= 10^6), one
+tuple of sums per grid point and one segment at a time.  A segment's 2^19
+flags are freed once its primes are listed.  Its class sums then take the
+primes' logs as int64, split into two 29-bit halves, and multiply the
+character values into each half in place: no class-index array and no
+weighted copies.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -72,19 +75,6 @@ _SEGMENT = 2**20  # numbers per segment: its odd-number flags take 512 KiB
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL = math.prod(_WHEEL_PRIMES)  # 15015, the wheel's period in odd numbers
 _UNIT = 2**53  # log sums run on integers in units of 2^-53
-
-
-def sieve_limit() -> int:
-    """CHEB_SIEVE_LIMIT, a positive integer at most MAX_SIEVE_LIMIT, else
-    DEFAULT_SIEVE_LIMIT."""
-    raw = os.environ.get("CHEB_SIEVE_LIMIT", str(DEFAULT_SIEVE_LIMIT)).strip()
-    digits = raw.lstrip("0")
-    if not raw.isdecimal() or not digits:
-        raise DomainError(f"CHEB_SIEVE_LIMIT must be a positive integer, got {raw!r}")
-    # more digits than the cap has are above it, and int() refuses 4 301
-    if len(digits) > len(str(MAX_SIEVE_LIMIT)) or int(digits) > MAX_SIEVE_LIMIT:
-        raise DomainError(f"CHEB_SIEVE_LIMIT must be at most {MAX_SIEVE_LIMIT} (2^46), got {raw!r}")
-    return int(digits)
 
 
 class ConjugacyClass(enum.Enum):
@@ -335,6 +325,11 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
     """(psi_identity, psi_nontrivial, unramified_total) at each x of xs, in
     the order given, from one ascending pass of the segmented sieve.
 
+    limit caps every x; None means DEFAULT_SIEVE_LIMIT.  This is the one
+    place the cap is resolved and range-checked: outside
+    1 .. MAX_SIEVE_LIMIT it is a DomainError, and an x above it a
+    ResourceError, both before anything is sieved.
+
     Every log p lies in [log 2, 32) and is a multiple of 2^-53, so the sums
     run exactly on integers in units of 2^-53.  Each result is the exactly
     rounded first-power sum plus the exactly rounded higher-power sum, bit
@@ -345,13 +340,14 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
             raise DomainError(f"x must be finite and >= 1, got {x}")
     if not xs:
         return []
-    lim = sieve_limit() if limit is None else limit
+    lim = DEFAULT_SIEVE_LIMIT if limit is None else limit
     if not 1 <= lim <= MAX_SIEVE_LIMIT:
         raise DomainError(f"the sieve limit must be a positive integer at most "
                           f"{MAX_SIEVE_LIMIT} (2^46), got {lim}")
     if max(xs) > lim:
         raise ResourceError(f"x = {max(xs)} exceeds the sieve limit {lim}")
-    stops = sorted({math.floor(x) for x in xs})
+    wanted = {math.floor(x) for x in xs}
+    stops = sorted(wanted)
     top = stops[-1]
     # (D/p) is a character mod |D|.  Up to |D| = 10^6 its table takes a few
     # ms at most to build and a lookup ~7 ns a prime; above that, one symbol
@@ -402,7 +398,10 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
             if cls < 2:
                 higher[cls] += u
             higher[2] += u
-        sums[hi] = tuple(a / _UNIT + b / _UNIT for a, b in zip(first, higher))
+        # sums are kept at the caller's stops only, so the sweep's state does
+        # not grow with x
+        if hi in wanted:
+            sums[hi] = tuple(a / _UNIT + b / _UNIT for a, b in zip(first, higher))
     return [sums.get(math.floor(x), (0.0, 0.0, 0.0)) for x in xs]
 
 

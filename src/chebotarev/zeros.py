@@ -176,7 +176,8 @@ def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
         else:
             idx = lo + np.arange(_FAN + 1) * (hi - lo) // _FAN
         pts = _eps_points(idx)
-        vals = _count_bound_vec(T, pts, M, log_d0)
+        with np.errstate(over="ignore"):  # reported once, by the check below
+            vals = _count_bound_vec(T, pts, M, log_d0)
         if not np.all(np.isfinite(vals)):
             raise NumericError("zero-count bound overflowed during minimization")
         k = int(np.argmin(vals))
@@ -216,9 +217,9 @@ def alpha0_prime(T: float, row: MinkowskiRow) -> float:
     )
 
 
-# published window constants, nominally the raw values below rounded at the
-# fourth decimal (b3 was rounded to nearest where the others round up; kept
-# verbatim)
+# published window constants, nominally the values c123 gives at EPS0_WINDOW
+# rounded at the fourth decimal (b3 was rounded to nearest where the others
+# round up; kept verbatim)
 _WINDOW_COEFFS = (8.0818, 27.8581, 4.8743, 9.3052)
 
 
@@ -228,21 +229,9 @@ def window_coeffs() -> tuple[float, float, float, float]:
         N_L(T+1) - N_L(T-1) <= b1 n_L log T + b2 n_L + b3 log d_L + b4
 
     for T >= 3, at eps = EPS0_WINDOW.  Derived for completeness; nothing
-    downstream consumes them.  The stored values differ from a fresh
-    evaluation of `window_coeffs_raw` by less than 1e-4.
+    downstream consumes them.
     """
     return _WINDOW_COEFFS
-
-
-def window_coeffs_raw() -> tuple[float, float, float, float]:
-    """Unrounded recomputation of (b1, b2, b3, b4) from c123."""
-    c1, _, _ = c123(1.0, EPS0_WINDOW, 0.0)
-    _, _, c3_at3 = c123(1.0, EPS0_WINDOW, 3.0)
-    b1 = 2 * c1 * (1 + math.log(1 + (2 + EPS0_WINDOW) / 3) / math.log(3))
-    b2 = 4 * c1 * (1 / EPS0_WINDOW + 539.0 / 268.0)
-    b3 = 2 * c1
-    b4 = 2 * c3_at3
-    return b1, b2, b3, b4
 
 
 def P_E_L(T: float, field: FieldParams) -> tuple[float, float]:

@@ -3,6 +3,7 @@ evaluation, and table generation."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -301,6 +302,55 @@ class TestBoundEval:
         field = FieldParams(600, 600 * math.log(10.0) / 0.43)
         rep = bound_eval(field, 1e9, False, BoundForm.EXP)
         assert not rep.refined_used or not rep.applicable
+
+    @pytest.mark.parametrize("refined", [True, False])
+    @pytest.mark.parametrize("form", list(BoundForm))
+    def test_epsilon_is_the_forms_formula(self, form, refined):
+        # each form on each branch, bit for bit against its formula written
+        # out from the FinalConstants record; degree 1000 is above the top
+        # row's N0, and every epsilon stays a normal float
+        n, log_dL, log_x = (5, 20.0, 1e6) if refined else (1000, 2500.0, 5e9)
+        field = FieldParams(n, log_dL)
+        f = final_constants(standard_config(min(n, 21), False))
+        lam = lambda_L(field, f.cfg.m)
+        root = math.sqrt(log_x / n)
+        decay = math.exp(-root / math.sqrt(R2))
+        formulas = {
+            (BoundForm.EXP, True): lambda: f.E3 * math.sqrt(lam) * math.sqrt(log_x) * decay,
+            (BoundForm.EXP, False): lambda: f.max_E12 * lam * math.sqrt(n) * math.sqrt(log_x) * decay,
+            (BoundForm.LOG, True): lambda: f.D3 * math.sqrt(lam) * n**1.5 / log_x**f.k,
+            (BoundForm.LOG, False): lambda: f.D12 * lam * n * n / log_x**f.k,
+            (BoundForm.CLASSICAL_NL, True):
+                lambda: f.C3 * n**0.75 * log_x**0.75 * math.exp(-f.exp_coeff_half * root),
+            (BoundForm.CLASSICAL_NL, False):
+                lambda: f.C12 * n * n * log_x * math.exp(-f.exp_coeff_full * root),
+            (BoundForm.CLASSICAL_ABS, True):
+                lambda: classical_constants(f, ClassicalBranch.REFINED, B0_REFINED).a0
+                * math.exp(-B0_REFINED * root),
+            (BoundForm.CLASSICAL_ABS, False):
+                lambda: classical_constants(f, ClassicalBranch.FULL, B0_FULL).a0
+                * math.exp(-B0_FULL * root),
+        }
+        rep = bound_eval(field, log_x, False, form)
+        assert rep.applicable and rep.refined_used is refined
+        assert rep.epsilon == formulas[form, refined]()
+        assert rep.epsilon >= sys.float_info.min
+
+    @pytest.mark.parametrize("form, answers", [
+        (BoundForm.CLASSICAL_NL, True), (BoundForm.CLASSICAL_ABS, True),
+        (BoundForm.EXP, False), (BoundForm.LOG, False),
+    ])
+    def test_forms_past_exp_overflow(self, form, answers):
+        # log Delta_L = 750 > 709.78: e^(m log Delta_L) overflows, but only
+        # lambda_L contains it, which the classical forms never read
+        field = FieldParams(2, 1500.0)
+        if answers:
+            rep = bound_eval(field, 1e10, False, form)
+            assert rep.applicable and math.isfinite(rep.threshold)
+            assert rep.epsilon == 0.0
+        else:
+            with pytest.raises(DomainError, match="overflows double precision"):
+                bound_eval(field, 1e10, False, form)
 
 
 class TestTables:

@@ -178,22 +178,9 @@ class TestVerifyCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 3
 
-    def test_sieve_limit_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHEB_SIEVE_LIMIT", "100")
-        code, _, err = run(capsys, "verify", "--disc", "5", "--x", "1000")
-        assert code == 2
-        assert "sieve limit" in err
-        for bad in ("1e9", "-5"):
-            monkeypatch.setenv("CHEB_SIEVE_LIMIT", bad)
-            code, out, err = run(capsys, "verify", "--disc", "5", "--x", "20")
-            assert code == 2
-            assert out == ""
-            assert err.startswith("error: CHEB_SIEVE_LIMIT must be a positive integer")
-
     def test_sieve_limit_cap(self, capsys, monkeypatch):
-        # a limit above MAX_SIEVE_LIMIT, from the option or the environment,
-        # is a usage error raised before anything is sieved; the cap itself
-        # is accepted
+        # a limit above MAX_SIEVE_LIMIT, and an x above the limit, are usage
+        # errors raised before anything is sieved; the cap itself is accepted
         from chebotarev import verifier
 
         cap = verifier.MAX_SIEVE_LIMIT
@@ -209,18 +196,22 @@ class TestVerifyCommand:
                                  "--sieve-limit", str(limit))
             assert (code, out) == (2, ""), err
             assert "error:" in err and "Traceback" not in err
-            monkeypatch.setenv("CHEB_SIEVE_LIMIT", str(limit))
-            code, out, err = run(capsys, "verify", "--disc", "5", "--x", "10")
-            assert (code, out) == (2, ""), err
-            assert err.startswith("error: CHEB_SIEVE_LIMIT must be at most 70368744177664")
-            monkeypatch.delenv("CHEB_SIEVE_LIMIT")
+        code, out, err = run(capsys, "verify", "--disc", "5", "--x", "1000", "--sieve-limit", "100")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: x = 1000.0 exceeds the sieve limit 100")
         monkeypatch.setattr(verifier, "_segments", sieve)
         for argv in (["--sieve-limit", str(cap)], ["--sieve-limit", "0" + str(cap)]):
             code, out, _ = run(capsys, "verify", "--disc", "5", "--x", "10", *argv)
             assert code == 0 and out
-        monkeypatch.setenv("CHEB_SIEVE_LIMIT", "0" * 40 + str(cap))
-        code, out, _ = run(capsys, "verify", "--disc", "5", "--x", "10")
-        assert code == 0 and out
+
+    def test_environment_sets_no_sieve_limit(self, capsys, monkeypatch):
+        # the cap comes from --sieve-limit alone: a CHEB_SIEVE_LIMIT in the
+        # environment changes nothing
+        argv = ("verify", "--disc", "5", "--x", "1000")
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        monkeypatch.setenv("CHEB_SIEVE_LIMIT", "100")
+        assert run(capsys, *argv) == want
 
     @pytest.mark.parametrize("argv", [
         ["--x", "nan"],

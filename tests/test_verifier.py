@@ -198,6 +198,8 @@ class TestKronecker:
                 e = pow(D % p, (p - 1) // 2, p)
                 want = 1 if e == 1 else -1
                 assert kronecker_symbol(D, p) == want, (D, p)
+                # (D/-1) is the sign of D
+                assert kronecker_symbol(D, -p) == (want if D > 0 else -want), (D, -p)
 
     def test_splitting_matches_ideal_description(self):
         for D in (-4, -3, 5, 8, 12, -7):
@@ -276,21 +278,33 @@ class TestPrimeInfrastructure:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "0"
 
-    def test_sweep_peak_memory(self):
-        # a sweep to 3e6, with everything it builds (wheel pattern, base
-        # primes, residue table), peaks below 2.5 MiB under tracemalloc,
-        # which sees numpy's array data.  Its first segment, the largest,
-        # holds at once 82 025 primes, their character values and their
-        # logs as float64 and as int64: 2.0 MiB
+    @staticmethod
+    def sweep_peak(x: float, segment: int) -> int:
+        """tracemalloc peak of one sweep of D = 5 to x, in a fresh process;
+        tracemalloc sees numpy's array data."""
         code = ("import tracemalloc\n"
                 "import numpy\n"
                 "from chebotarev import verifier\n"
+                f"verifier._SEGMENT = {segment}\n"
                 "tracemalloc.start()\n"
-                "verifier._sweep(5, [3e6], 10**9)\n"
+                f"verifier._sweep(5, [{x}], 10**9)\n"
                 "print(tracemalloc.get_traced_memory()[1])\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert int(res.stdout) < 2.5 * 2**20
+        return int(res.stdout)
+
+    def test_sweep_peak_memory(self):
+        # a sweep to 3e6, with everything it builds (wheel pattern, base
+        # primes, residue table), peaks below 2.5 MiB.  Its first segment,
+        # the largest, holds at once 82 025 primes, their character values
+        # and their logs as float64 and as int64: 2.0 MiB
+        assert self.sweep_peak(3e6, 2**20) < 2.5 * 2**20
+        # the sweep's state does not grow with the number of segments: four
+        # times as many (128 -> 512) add only what grows with sqrt(x), the
+        # base primes and their pending powers (97 -> 172 primes, ~13 KiB).
+        # Sums kept at every segment end would add ~220 B a segment, 83 KiB
+        small, large = self.sweep_peak(2**18, 2048), self.sweep_peak(2**20, 2048)
+        assert large - small < 32 * 2**10
 
     def test_miller_rabin(self):
         primes = set(trial_primes(2000))
@@ -298,6 +312,8 @@ class TestPrimeInfrastructure:
             assert is_prime(n) == (n in primes)
         assert is_prime(2**31 - 1)
         assert not is_prime(2**31)
+        # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
+        assert not is_prime(3215031751)
 
 
 class TestPsiExact:
@@ -353,6 +369,7 @@ class TestEquidistReport:
         rows = equidist_report(field, [20.0, 500.0, 12345.0])
         for r in rows:
             assert abs(r.psi_identity + r.psi_nontrivial - r.unramified_total) < 1e-9
+        assert equidist_report(field, []) == []
 
     def test_partition_against_chebyshev_psi(self):
         # independent check: full Chebyshev psi minus the p = 2 powers
