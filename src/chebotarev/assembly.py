@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -404,6 +405,17 @@ def bound_eval(
     return report
 
 
+def _decayed(coeff: float, exponent: float) -> float:
+    """coeff * exp(-exponent), coeff > 0.  Once exp(-exponent) is below the
+    normal floats, the product is coeff e^(-exponent/2) e^(-exponent/2),
+    raised past its four roundings, so it is never 0.0."""
+    decay = math.exp(-exponent)
+    if decay >= sys.float_info.min:
+        return coeff * decay
+    half = math.exp(-exponent / 2)
+    return math.nextafter(coeff * half * half * (1 + 2**-49), math.inf)
+
+
 def _bound_report(
     field: FieldParams, log_x: float, beta0_present: bool, form: BoundForm
 ) -> BoundReport:
@@ -423,10 +435,9 @@ def _bound_report(
         eps = None
         if applicable:
             if refined:
-                rr_eps = details["a0_refined"] * math.exp(-B0_REFINED * math.sqrt(log_x / n))
-                eps = rr_eps
+                eps = _decayed(details["a0_refined"], B0_REFINED * math.sqrt(log_x / n))
             else:
-                eps = cc.a0 * math.exp(-B0_FULL * math.sqrt(log_x / n))
+                eps = _decayed(cc.a0, B0_FULL * math.sqrt(log_x / n))
     else:
         threshold = cfg.alpha * cfg.m * n * field.log_delta_L**2
         applicable = log_x >= threshold
@@ -437,11 +448,11 @@ def _bound_report(
             lam = lambda_L(field, cfg.m)
             details = {"max_E12": f.max_E12, "E3": f.E3, "decay": 1.0 / math.sqrt(R2)}
             if applicable:
-                decay = math.exp(-root / math.sqrt(R2))
+                rate = root / math.sqrt(R2)
                 if refined:
-                    eps = f.E3 * math.sqrt(lam) * math.sqrt(log_x) * decay
+                    eps = _decayed(f.E3 * math.sqrt(lam) * math.sqrt(log_x), rate)
                 else:
-                    eps = f.max_E12 * lam * math.sqrt(n) * math.sqrt(log_x) * decay
+                    eps = _decayed(f.max_E12 * lam * math.sqrt(n) * math.sqrt(log_x), rate)
         elif form is BoundForm.LOG:
             lam = lambda_L(field, cfg.m)
             details = {"D12": f.D12, "D3": f.D3, "k": float(f.k)}
@@ -459,9 +470,9 @@ def _bound_report(
             }
             if applicable:
                 if refined:
-                    eps = f.C3 * n**0.75 * log_x**0.75 * math.exp(-f.exp_coeff_half * root)
+                    eps = _decayed(f.C3 * n**0.75 * log_x**0.75, f.exp_coeff_half * root)
                 else:
-                    eps = f.C12 * n * n * log_x * math.exp(-f.exp_coeff_full * root)
+                    eps = _decayed(f.C12 * n * n * log_x, f.exp_coeff_full * root)
         else:  # pragma: no cover
             raise DomainError(f"unknown bound form {form}")
 

@@ -35,6 +35,7 @@ if TYPE_CHECKING:
     from .assembly import Table
 
 FORMATS = ("csv", "markdown", "jsonl")
+KEY_VALUE_FORMATS = "csv and markdown print the same key = value lines; jsonl, one JSON object"
 # assembly.TABLE_IDS and the BoundForm values, kept here so that building
 # the parser imports no computing module (tests/test_cli.py pins them)
 TABLE_IDS = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--logx", type=float, required=True)
     p_bound.add_argument("--beta0", choices=("present", "absent"), default="absent")
     p_bound.add_argument("--form", choices=BOUND_FORMS, default="exp")
-    p_bound.add_argument("--format", choices=FORMATS, default="markdown")
+    p_bound.add_argument("--format", choices=FORMATS, default="markdown", help=KEY_VALUE_FORMATS)
     p_bound.add_argument("--out", default=None)
     p_bound.set_defaults(func=cmd_bound)
 
@@ -283,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_params = sub.add_parser("params", help="dump a row's tuning parameters and constants")
     p_params.add_argument("--n0", type=int, required=True)
     p_params.add_argument("--beta0", choices=("present", "absent"), default="present")
-    p_params.add_argument("--format", choices=FORMATS, default="markdown")
+    p_params.add_argument("--format", choices=FORMATS, default="markdown", help=KEY_VALUE_FORMATS)
     p_params.add_argument("--out", default=None)
     p_params.set_defaults(func=cmd_params)
 

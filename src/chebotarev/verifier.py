@@ -25,8 +25,8 @@ period of a wheel pattern.  Log sums run exactly on integers in units of
 
 Importing this module builds no array, and nothing outlives a sweep.  One
 sweep holds the wheel pattern (30 030 flags), the base primes up to
-sqrt(x), the character's table of residues mod |D| (for |D| <= 10^6), one
-tuple of sums per grid point and one segment at a time.  A segment's 2^19
+sqrt(x), the character's table of residues mod |D| (for |D| <= 10^6), six
+integer sums per grid point and one segment at a time.  A segment's 2^19
 flags are freed once its primes are listed.  Its class sums then take the
 primes' logs as int64, split into two 29-bit halves, and multiply the
 character values into each half in place: no class-index array and no
@@ -36,8 +36,8 @@ weighted copies.
 from __future__ import annotations
 
 import enum
-import heapq
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -331,9 +331,9 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
     ResourceError, both before anything is sieved.
 
     Every log p lies in [log 2, 32) and is a multiple of 2^-53, so the sums
-    run exactly on integers in units of 2^-53.  Each result is the exactly
-    rounded first-power sum plus the exactly rounded higher-power sum, bit
-    for bit what math.fsum gives for each.
+    run exactly on integers in units of 2^-53, each in the ledger slot of
+    the grid interval its prime or prime power is in; a prefix pass rounds
+    each x's first-power and higher-power sums exactly, as math.fsum does.
     """
     for x in xs:
         if not (math.isfinite(x) and x >= 1):
@@ -346,15 +346,16 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
                           f"{MAX_SIEVE_LIMIT} (2^46), got {lim}")
     if max(xs) > lim:
         raise ResourceError(f"x = {max(xs)} exceeds the sieve limit {lim}")
-    wanted = {math.floor(x) for x in xs}
-    stops = sorted(wanted)
+    stops = sorted({math.floor(x) for x in xs})
     top = stops[-1]
     # (D/p) is a character mod |D|.  Up to |D| = 10^6 its table takes a few
     # ms at most to build and a lookup ~7 ns a prime; above that, one symbol
     # call a prime
     modulus = abs(D)
     table = _residue_table(D) if modulus <= 10**6 else None
-    first, higher, powers, sums = [0, 0, 0], [0, 0, 0], [], {}
+    # ledger[j] holds the units in (stops[j-1], stops[j]]: the identity,
+    # nontrivial and total first powers, the identity, nontrivial, chi = 0 higher
+    ledger = [[0] * 6 for _ in stops]
     for hi, primes in _segments(stops):
         chi = table[primes % modulus] if table is not None else np.array(
             [kronecker_symbol(D, int(p)) for p in primes], dtype=np.int8)
@@ -377,7 +378,7 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
         for p, c, u in zip(primes[:k].tolist(), chi[:k].tolist(), units[:k].tolist()):
             pm, m = p * p, 2
             while modulus % p and pm <= top:
-                heapq.heappush(powers, (pm, 2 if c == 0 else 0 if c == 1 or m % 2 == 0 else 1, u))
+                ledger[bisect_left(stops, pm)][5 if c == 0 else 3 if c == 1 or m % 2 == 0 else 4] += u
                 pm, m = pm * p, m + 1
 
         # the class sums come from the sums of u, chi u and chi^2 u, taken
@@ -389,20 +390,17 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
         # the next segment is sieved while the loop still binds these names
         del chi, units
         total, odd, even = ((a << 29) + b for a, b in zip(high, low))
-        first[0] += (even + odd) // 2
-        first[1] += (even - odd) // 2
-        first[2] += total - ramified
+        slot = ledger[bisect_left(stops, hi)]
+        slot[0] += (even + odd) // 2
+        slot[1] += (even - odd) // 2
+        slot[2] += total - ramified
 
-        while powers and powers[0][0] <= hi:
-            _, cls, u = heapq.heappop(powers)
-            if cls < 2:
-                higher[cls] += u
-            higher[2] += u
-        # sums are kept at the caller's stops only, so the sweep's state does
-        # not grow with x
-        if hi in wanted:
-            sums[hi] = tuple(a / _UNIT + b / _UNIT for a, b in zip(first, higher))
-    return [sums.get(math.floor(x), (0.0, 0.0, 0.0)) for x in xs]
+    for prev, slot in zip(ledger, ledger[1:]):  # prefix sums, in place
+        slot[:] = [a + b for a, b in zip(prev, slot)]
+    rows = [(ident / _UNIT + h_ident / _UNIT, nontriv / _UNIT + h_nontriv / _UNIT,
+             total / _UNIT + (h_ident + h_nontriv + h_zero) / _UNIT)
+            for ident, nontriv, total, h_ident, h_nontriv, h_zero in ledger]
+    return [rows[bisect_left(stops, math.floor(x))] for x in xs]
 
 
 def psi_pair(field: QuadraticField, x: float, limit: int | None = None) -> tuple[float, float]:

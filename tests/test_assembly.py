@@ -2,7 +2,9 @@
 evaluation, and table generation."""
 
 import dataclasses
+import decimal
 import math
+import random
 import sys
 
 import numpy as np
@@ -25,7 +27,7 @@ from chebotarev import (
     lambda_L,
     standard_config,
 )
-from chebotarev.assembly import (B0_FULL, B0_REFINED, _delta0_interval, _finals_cached,
+from chebotarev.assembly import (B0_FULL, B0_REFINED, _decayed, _delta0_interval, _finals_cached,
                                  classical_a0_grid)
 from chebotarev.constants import compute_ells
 from chebotarev.reference_values import DELTA0, matches_printed, parse_printed
@@ -347,10 +349,53 @@ class TestBoundEval:
         if answers:
             rep = bound_eval(field, 1e10, False, form)
             assert rep.applicable and math.isfinite(rep.threshold)
-            assert rep.epsilon == 0.0
+            assert rep.epsilon == math.ulp(0.0)
         else:
             with pytest.raises(DomainError, match="overflows double precision"):
                 bound_eval(field, 1e10, False, form)
+
+    @pytest.mark.parametrize("form, field, log_x", [
+        (BoundForm.EXP, FieldParams.from_discriminant(2, 5.0), 1e9),
+        (BoundForm.CLASSICAL_NL, FieldParams.from_discriminant(2, 5.0), 1e9),
+        (BoundForm.CLASSICAL_ABS, FieldParams.from_discriminant(2, 5.0), 1e9),
+        (BoundForm.EXP, FieldParams(2, 100.0), 1.46e7),
+        (BoundForm.CLASSICAL_NL, FieldParams(2, 97.0), 1.375e7),
+    ])
+    def test_epsilon_below_the_normal_floats(self, form, field, log_x):
+        # the decay factor is below the normal floats, here or far below any
+        # float: epsilon is at or just above the refined formula worked out
+        # in 50-digit decimals, never 0.0
+        f = _finals_cached(2, False)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            D = decimal.Decimal
+            root = (D(log_x) / 2).sqrt()
+            if form is BoundForm.EXP:
+                lam = D(lambda_L(field, f.cfg.m))
+                coeff, rate = D(f.E3) * lam.sqrt() * D(log_x).sqrt(), root / D(R2).sqrt()
+            elif form is BoundForm.CLASSICAL_NL:
+                coeff, rate = D(f.C3) * (2 * D(log_x)) ** D("0.75"), D(f.exp_coeff_half) * root
+            else:
+                a0 = classical_constants(f, ClassicalBranch.REFINED, B0_REFINED).a0
+                coeff, rate = D(a0), D(B0_REFINED) * root
+            want = coeff * (-rate).exp()
+            rep = bound_eval(field, log_x, False, form)
+            assert rep.applicable and rep.refined_used
+            assert want <= D(rep.epsilon) <= max(want * (1 + D("1e-12")),
+                                                 want + 2 * D(math.ulp(0.0)))
+
+    def test_decayed_rounds_up(self):
+        # past the normal floats the helper is at or just above coeff e^-exponent
+        # in 60-digit decimals, on seeded coefficients 1e-3 .. 1e308
+        rng = random.Random(3)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            for _ in range(2000):
+                coeff, exponent = 10 ** rng.uniform(-3, 308), rng.uniform(708.4, 1500.0)
+                want = decimal.Decimal(coeff) * (-decimal.Decimal(exponent)).exp()
+                got = decimal.Decimal(_decayed(coeff, exponent))
+                assert want <= got <= max(want * (1 + decimal.Decimal("1e-12")),
+                                          want + 2 * decimal.Decimal(math.ulp(0.0)))
 
 
 class TestTables:

@@ -301,10 +301,15 @@ class TestPrimeInfrastructure:
         assert self.sweep_peak(3e6, 2**20) < 2.5 * 2**20
         # the sweep's state does not grow with the number of segments: four
         # times as many (128 -> 512) add only what grows with sqrt(x), the
-        # base primes and their pending powers (97 -> 172 primes, ~13 KiB).
-        # Sums kept at every segment end would add ~220 B a segment, 83 KiB
+        # base primes (97 -> 172).  Sums kept at every segment end would add
+        # ~220 B a segment, 83 KiB
         small, large = self.sweep_peak(2**18, 2048), self.sweep_peak(2**20, 2048)
         assert large - small < 32 * 2**10
+        # nor with the prime powers below x: 2^22 -> 2^24 adds 4 KiB of base
+        # primes.  A queue of powers waiting for their segment would add
+        # ~37 KiB more
+        small, large = self.sweep_peak(2**22, 2**16), self.sweep_peak(2**24, 2**16)
+        assert large - small < 16 * 2**10
 
     def test_miller_rabin(self):
         primes = set(trial_primes(2000))
@@ -394,7 +399,10 @@ class TestEquidistReport:
             primes = primes_up_to(20_000)
             chi = np.array([kronecker_symbol(D, int(p)) for p in primes])
             logs = np.log(primes.astype(np.float64))
-            grid = [20_000.0, 3_000.5, 1_000.0]
+            # stops on prime powers (2^10, 3^7, 3^9, 7^5) and one below each
+            # go to neighbouring ledger slots
+            grid = [20_000.0, 3_000.5, 1_000.0, 1024.0, 1023.0, 2187.0, 2186.0, 19683.0,
+                    16807.0, 16806.0, 1024.0, 4.0, 3.0, 1.5]
             for x, r in zip(grid, equidist_report(QuadraticField(D), grid)):
                 assert (r.psi_identity, r.psi_nontrivial, r.unramified_total) == \
                     fsum_reference(primes, chi, logs, x)
