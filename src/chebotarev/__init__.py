@@ -19,14 +19,13 @@ __version__ = "0.1.0"
 # module that computes with it.
 _EXPORTS = {
     "assembly": (
-        "BoundForm", "BoundReport", "ClassicalBranch", "ClassicalConstants", "Delta0Mode",
-        "FinalConstants", "bound_eval", "choose_delta0", "classical_constants",
-        "corollary_constants", "curly_N0", "diff_table", "final_constants", "generate_table",
-        "standard_config",
+        "BoundForm", "BoundReport", "ClassicalBranch", "ClassicalConstants", "FinalConstants",
+        "bound_eval", "choose_delta0", "classical_constants", "corollary_constants", "curly_N0",
+        "diff_table", "final_constants", "generate_table", "standard_config",
     ),
-    "bessel": ("BesselArgs", "RegimeThreshold", "bessel_I", "bessel_K", "ell6", "ell7",
-               "k2_upper_bound"),
-    "constants": ("EllConstants", "TuningConfig", "compute_ells", "ell_low", "y0", "y0_terms"),
+    "bessel": ("BesselArgs", "RegimeThreshold", "bessel_I", "bessel_K", "k2_upper_bound"),
+    "constants": ("EllConstants", "TuningConfig", "compute_ells", "ell6", "ell7", "ell_low", "y0",
+                  "y0_terms"),
     "errors": ("DomainError", "NumericError", "PoleError", "ResourceError", "SearchError"),
     "invariants": ("MINKOWSKI_TABLE", "FieldParams", "MinkowskiRow", "lambda_0", "lambda_L",
                    "minkowski_lookup"),

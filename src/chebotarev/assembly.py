@@ -15,8 +15,9 @@ TuningConfig and its ell's next to the E/D/C constants, so every consumer
 that record alone.  _finals_cached keeps one record per table row and
 beta_0 state for the process, which warm bound evaluation reads.
 
-The smoothing, bessel and invariants functions keep general m; TuningConfig
-fixes m = 1, where the decay exponent 2 sqrt(m)/((m+1) sqrt(R2)) is maximal.
+The smoothing, bessel and invariants functions and ell6/ell7 keep general
+m; TuningConfig fixes m = 1, where the decay exponent
+2 sqrt(m)/((m+1) sqrt(R2)) is maximal.
 
 Two unrelated quantities share the letter c0 in the literature and get
 distinct names here: C_CURLY_N0 = max(1/(4e), 2^(-3/2)) sits inside the
@@ -47,7 +48,6 @@ __all__ = [
     "FinalConstants",
     "ClassicalBranch",
     "ClassicalConstants",
-    "Delta0Mode",
     "BoundForm",
     "BoundReport",
     "Table",
@@ -114,10 +114,6 @@ class FinalConstants:
         return self.cfg.x0_log
 
     @property
-    def Y0(self) -> float:
-        return self.ells.Y0
-
-    @property
     def max_E12(self) -> float:
         return max(self.E1, self.E2)
 
@@ -138,7 +134,8 @@ class ClassicalConstants:
 
 
 class Delta0Mode(enum.Enum):
-    REPRODUCE = "reproduce"
+    """The one delta0 search; perfbench/worker.py still passes SEARCH."""
+
     SEARCH = "search"
 
 
@@ -276,28 +273,18 @@ def _delta0_interval(n0: int, beta0_present: bool) -> tuple[float, float]:
     return min(d_lo * (1 + 1e-12) + 1e-18, d_hi), d_hi
 
 
-def choose_delta0(
-    n0: int,
-    beta0_present: bool,
-    mode: Delta0Mode = Delta0Mode.SEARCH,
-    delta0: float | None = None,
-) -> float:
-    """Pick the ramp-width ceiling delta0 for a table row.
+def choose_delta0(n0: int, beta0_present: bool, mode: Delta0Mode = Delta0Mode.SEARCH) -> float:
+    """Search the ramp-width ceiling delta0 for a table row in 2..21.
 
-    REPRODUCE validates the given delta0 on a table row in 2..21 (it must
-    not exceed 1 - sqrt(2)/x0) and returns it unchanged; with no value
-    given the published one is used.  SEARCH enforces n0 <= N_0 < n0 + 1
-    for rows up to 20 (N_0 is strictly increasing in delta0, so the
-    admissible set is an interval, found by bisection) and takes its
-    lower end, which minimizes min(max(E1, E2), E3~) over the interval:
-    that objective is increasing there on every row, as
+    Rows up to 20 need n0 <= N_0 < n0 + 1 (N_0 is strictly increasing in
+    delta0, so the admissible set is an interval, found by bisection); the
+    search takes its lower end, which minimizes min(max(E1, E2), E3~) over
+    the interval: that objective is increasing there on every row, as
     tests/test_assembly.py::TestChooseDelta0::test_search_objective_increasing
     checks.  The top row instead pushes N_0 as high as possible:
-    delta0 = min(1 - sqrt(2)/x0, 0.99999).
+    delta0 = min(1 - sqrt(2)/x0, 0.99999).  A given delta0 is reproduced,
+    with the same checks, by standard_config(n0, beta0_present).with_delta0.
     """
-    if mode is Delta0Mode.REPRODUCE:
-        cfg = standard_config(n0, beta0_present)  # checks the row
-        return cfg.delta0 if delta0 is None else cfg.with_delta0(delta0).delta0
     if n0 >= 21:
         return min(_delta0_ceiling(standard_config(n0, beta0_present)), 0.99999)
     return _delta0_interval(n0, beta0_present)[0]

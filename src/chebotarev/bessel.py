@@ -1,4 +1,4 @@
-"""Incomplete Bessel-type integrals and the tail constants ell_6, ell_7.
+"""Incomplete Bessel-type integrals behind the zero-tail constants.
 
 The sums over high zeros of zeta_L reduce, after partial summation against
 the density kernel Q, to integrals
@@ -19,9 +19,10 @@ For large z and y bounded away from 1 the Rosser-Schoenfeld estimate
     K_2(z, w) <= sqrt(pi/2) e^(-z)/sqrt(z) (1 + 15/(8z) + 105/(128 z^2))
 
 applies; feeding it back through the reduction produces the two closed-form
-constants ell_6 (tail sum at x = 1) and ell_7 (tail sum at large x).  They
-live here rather than with ell_0..ell_5 because they are the only ones
-consuming Bessel-regime parameters, which keeps the module graph acyclic.
+constants ell_6 (tail sum at x = 1) and ell_7 (tail sum at large x), which
+constants.py computes with the other ell's.  This module holds the lemma
+checks of that chain: K_n, I_{n,m}, the K_2 bound and the regime
+conditions.  No CLI command imports it.
 """
 
 from __future__ import annotations
@@ -29,18 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# perfbench/worker.py's traced probe still imports the tail constants from here
+from .constants import ell6, ell7  # noqa: F401
 from .errors import DomainError, NumericError
-from .zeros import ALPHA1, ALPHA2, ALPHA3, _bisect
+from .zeros import _bisect
 
-__all__ = [
-    "bessel_K",
-    "bessel_I",
-    "k2_upper_bound",
-    "BesselArgs",
-    "RegimeThreshold",
-    "ell6",
-    "ell7",
-]
+__all__ = ["bessel_K", "bessel_I", "k2_upper_bound", "BesselArgs", "RegimeThreshold"]
 
 _TAIL_CUT = 1e-18  # the walk stops at this fraction of the peak term
 _STEP_REL = 1e-14  # two successive trapezoid sums agree to this, relative
@@ -169,63 +164,3 @@ class RegimeThreshold:
 
     def W_exceeds(self, T: float) -> bool:
         return self.W_log > math.log(T)
-
-
-def ell6(m: int, M: float, T0: float) -> float:
-    """Tail-sum constant at x = 1:
-
-        S_L(m, T, 1) <= ell6 (log d_L) (log T)/T^m   for T >= T0 > 4.
-
-    ell6 = (M + 1/log T0)/(m pi) + 2 M alpha1/T0
-           + (2 alpha1 + M (alpha1/(m+1) + 2 alpha2 + alpha3))/(T0 log T0).
-    """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    if T0 <= 4:
-        raise DomainError(f"T0 must exceed 4, got {T0}")
-    lt = math.log(T0)
-    return (
-        (M + 1.0 / lt) / (m * math.pi)
-        + 2.0 * M * ALPHA1 / T0
-        + (2.0 * ALPHA1 + M * (ALPHA1 / (m + 1.0) + 2.0 * ALPHA2 + ALPHA3)) / (lt * T0)
-    )
-
-
-def ell7(
-    m: int,
-    M: float,
-    R2: float,
-    T0: float,
-    omega0: float,
-    x0_log: float,
-    n0: int,
-) -> float:
-    """Tail-sum constant in the large-x regime:
-
-        S_L(m, T, x) <= ell7 Delta_L^m sqrt(n_L) (log x)^(3/4)
-                        e^(-2 sqrt(m log x/(R_2 n_L)))
-
-    for T >= T0, x >= x_0 and log x > X_{L,m,T}.  Two terms: the turning-
-    point contribution (visible through (log x0)^(-1/4) and the exponential
-    margin ((2m+1)/sqrt(m+1) - 2 sqrt(m)) sqrt((m+1)(1/M + log T0))), and
-    the Rosser-Schoenfeld remainder of the K_2 integral.
-    """
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-    if T0 <= 4:
-        raise DomainError(f"T0 must exceed 4, got {T0}")
-    if x0_log <= 0:
-        raise DomainError(f"x0_log must be positive, got {x0_log}")
-    if n0 < 2:
-        raise DomainError(f"n0 must be >= 2, got {n0}")
-    lt = math.log(T0)
-    margin = ((2 * m + 1) / math.sqrt(m + 1.0) - 2.0 * math.sqrt(m)) * math.sqrt(
-        (m + 1.0) * (1.0 / M + lt)
-    )
-    first = (omega0 / (math.pi * math.sqrt(R2 * (m + 1.0)))) * x0_log ** (-0.25) * math.exp(-margin)
-    second = (2.0 * n0 ** (-0.25) / (math.sqrt(math.pi) * m**1.25 * R2**0.75)) * (
-        1.0
-        + 15.0 / (16.0 * math.sqrt(m * (m + 1.0)) * (1.0 / M + lt))
-        + 105.0 / (512.0 * m * (m + 1.0) * (1.0 / M + lt) ** 2)
-    )
-    return first + second

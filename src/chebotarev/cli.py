@@ -15,7 +15,7 @@ numeric mismatches exit 1, success exits 0.
 
 Each command imports only the modules it runs: `verify` loads no
 constants module, and `tables`, `bound` and `params` never load the
-verifier.
+verifier or bessel.
 """
 
 from __future__ import annotations
@@ -73,8 +73,17 @@ def _emit(text: str, out_path: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise DomainError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
+    elif sys.stdout is None:  # started with stdout closed
+        raise DomainError("cannot write to stdout: it is closed")
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the unwritten text stays buffered, and the flush at exit would
+            # fail again with a traceback: send it to the null device instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise DomainError(f"cannot write to stdout: {exc.strerror or exc}") from None
 
 
 def _table_rows(table: Table, published_style: bool) -> list[list[str]]:
@@ -276,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--x", type=float)
     group.add_argument("--x-grid", dest="x_grid", type=_x_grid, help="comma-separated x values")
     p_verify.add_argument("--sieve-limit", dest="sieve_limit", type=int, default=None,
-                          help="hard cap on x, an integer from 1 to 2^46 (default 10^9)")
+                          help="hard cap on x, an integer from 1 to 2^46 (default 10^9); "
+                               "the cap bounds memory, not time: x = 10^9 takes seconds, "
+                               "10^10 about a minute, 10^11 about 20 minutes")
     p_verify.add_argument("--format", choices=FORMATS, default="markdown")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)

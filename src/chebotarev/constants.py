@@ -1,10 +1,12 @@
-"""Low-index error constants ell_0..ell_5 and the master aggregate Y_0.
+"""The error constants ell_0..ell_7 and the master aggregate Y_0.
 
 Each ell_i bounds one contribution to the smoothed prime-sum error
 (ramified primes, low zeros, the exceptional-zero window, medium zeros,
 and so on) uniformly over a Minkowski row, once the free parameters are
-fixed.  Y_0 folds all eight ell's into a single constant so the whole
-error reads
+fixed.  ell_6 and ell_7 bound the sum over high zeros, at x = 1 and at
+large x; they are closed forms that bessel's Rosser-Schoenfeld estimate
+for K_2 justifies, and call no Bessel integral.  Y_0 folds all eight
+ell's into a single constant so the whole error reads
 
     delta/a_beta0 + Y_0 delta^(-m) lambda_L (log x) e^(-2 sqrt(m log x/(R2 n_L))).
 
@@ -26,13 +28,13 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
-from .bessel import ell6, ell7
 from .errors import DomainError
 from .invariants import MinkowskiRow
 from .smoothing import m_bound
 from .zeros import ALPHA1, ALPHA2, ALPHA3, R1, R2, alpha0, alpha0_prime
 
-__all__ = ["TuningConfig", "EllConstants", "alpha_coefficient", "ell_low", "compute_ells", "y0", "y0_terms"]
+__all__ = ["TuningConfig", "EllConstants", "alpha_coefficient", "ell_low", "ell6", "ell7",
+           "compute_ells", "y0", "y0_terms"]
 
 
 def alpha_coefficient(M: float, t0: float) -> float:
@@ -175,13 +177,64 @@ def ell_low(cfg: TuningConfig) -> tuple[float, float, float, float, float, float
     return l0, l1, l2, l3, l4, l5
 
 
+def ell6(m: int, M: float, T0: float) -> float:
+    """Tail-sum constant at x = 1:
+
+        S_L(m, T, 1) <= ell6 (log d_L) (log T)/T^m   for T >= T0 > 4.
+
+    ell6 = (M + 1/log T0)/(m pi) + 2 M alpha1/T0
+           + (2 alpha1 + M (alpha1/(m+1) + 2 alpha2 + alpha3))/(T0 log T0).
+    """
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    if T0 <= 4:
+        raise DomainError(f"T0 must exceed 4, got {T0}")
+    lt = math.log(T0)
+    return (
+        (M + 1.0 / lt) / (m * math.pi)
+        + 2.0 * M * ALPHA1 / T0
+        + (2.0 * ALPHA1 + M * (ALPHA1 / (m + 1.0) + 2.0 * ALPHA2 + ALPHA3)) / (lt * T0)
+    )
+
+
+def ell7(m: int, M: float, R2: float, T0: float, omega0: float, x0_log: float, n0: int) -> float:
+    """Tail-sum constant in the large-x regime:
+
+        S_L(m, T, x) <= ell7 Delta_L^m sqrt(n_L) (log x)^(3/4)
+                        e^(-2 sqrt(m log x/(R_2 n_L)))
+
+    for T >= T0, x >= x_0 and log x > X_{L,m,T}.  Two terms: the turning-
+    point contribution (visible through (log x0)^(-1/4) and the exponential
+    margin ((2m+1)/sqrt(m+1) - 2 sqrt(m)) sqrt((m+1)(1/M + log T0))), and
+    the Rosser-Schoenfeld remainder of the K_2 integral.
+    """
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    if T0 <= 4:
+        raise DomainError(f"T0 must exceed 4, got {T0}")
+    if x0_log <= 0:
+        raise DomainError(f"x0_log must be positive, got {x0_log}")
+    if n0 < 2:
+        raise DomainError(f"n0 must be >= 2, got {n0}")
+    lt = math.log(T0)
+    margin = ((2 * m + 1) / math.sqrt(m + 1.0) - 2.0 * math.sqrt(m)) * math.sqrt(
+        (m + 1.0) * (1.0 / M + lt)
+    )
+    first = (omega0 / (math.pi * math.sqrt(R2 * (m + 1.0)))) * x0_log ** (-0.25) * math.exp(-margin)
+    second = (2.0 * n0 ** (-0.25) / (math.sqrt(math.pi) * m**1.25 * R2**0.75)) * (
+        1.0
+        + 15.0 / (16.0 * math.sqrt(m * (m + 1.0)) * (1.0 / M + lt))
+        + 105.0 / (512.0 * m * (m + 1.0) * (1.0 / M + lt) ** 2)
+    )
+    return first + second
+
+
 def compute_ells(cfg: TuningConfig) -> EllConstants:
     """All eight ell's plus the aggregate Y_0 for one configuration."""
-    l0, l1, l2, l3, l4, l5 = ell_low(cfg)
-    l6 = ell6(cfg.m, cfg.row.M, cfg.T0)
-    l7 = ell7(cfg.m, cfg.row.M, R2, cfg.T0, cfg.omega0, cfg.x0_log, cfg.row.n0)
-    partial = EllConstants(l0, l1, l2, l3, l4, l5, l6, l7, Y0=0.0)
-    return EllConstants(l0, l1, l2, l3, l4, l5, l6, l7, Y0=y0(cfg, partial))
+    ells = EllConstants(*ell_low(cfg), ell6(cfg.m, cfg.row.M, cfg.T0),
+                        ell7(cfg.m, cfg.row.M, R2, cfg.T0, cfg.omega0, cfg.x0_log, cfg.row.n0),
+                        Y0=0.0)
+    return replace(ells, Y0=y0(cfg, ells))
 
 
 def y0_terms(cfg: TuningConfig, ells: EllConstants) -> tuple[float, ...]:

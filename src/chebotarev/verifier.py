@@ -72,6 +72,7 @@ MAX_SIEVE_LIMIT = 2**46
 # 10^6 steps, a fraction of a second, up to this cap
 MAX_ABS_DISC = 10**18
 _SEGMENT = 2**20  # numbers per segment: its odd-number flags take 512 KiB
+_STRIKE_CHUNK = 4096  # striking primes per list: one list a segment below x = 1.5e9
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL = math.prod(_WHEEL_PRIMES)  # 15015, the wheel's period in odd numbers
 _UNIT = 2**53  # log sums run on integers in units of 2^-53
@@ -266,6 +267,26 @@ def _residue_table(D: int) -> np.ndarray:
     return table
 
 
+def _sieve_segment(lo: int, hi: int, ps: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """The primes in (lo, hi] above 13, lo >= 1, given ps = the primes from
+    17 to sqrt(hi).  The strike turns at most _STRIKE_CHUNK of ps into
+    Python ints at a time: near the cap, 4096 of 564 157."""
+    a = (lo + 1) // 2  # seg[i] stands for the odd number 2(a + i) + 1
+    start = a % _WHEEL
+    seg = np.resize(pattern[start : start + _WHEEL], (hi + 1) // 2 - a)
+    flags = seg.view(np.uint8)  # striking bytes beats striking bools
+    for c in range(0, len(ps), _STRIKE_CHUNK):
+        chunk = ps[c : c + _STRIKE_CHUNK]
+        # strike from q p, q the least odd multiplier with q p > lo and q >= p
+        q = np.maximum((lo // chunk + 1) | 1, chunk)
+        for p, i in zip(chunk.tolist(), ((q * chunk - 1) // 2 - a).tolist()):
+            flags[i::p] = 0
+    primes = np.flatnonzero(seg)
+    primes *= 2
+    primes += 2 * a + 1
+    return primes
+
+
 def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
     """(hi, primes in (lo, hi]) over consecutive ranges covering
     (1, stops[-1]] in ascending order, each at most _SEGMENT long and each
@@ -273,7 +294,7 @@ def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
 
     A segment sieves only its odd numbers, starting from the wheel pattern,
     so the base primes 2 and _WHEEL_PRIMES are emitted explicitly and only
-    larger ones strike."""
+    larger ones strike; its flags are freed before the primes are yielded."""
     base = primes_up_to(math.isqrt(stops[-1]))
     base = base[base > _WHEEL_PRIMES[-1]]
     squares = base * base
@@ -282,21 +303,8 @@ def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
     for stop in stops:
         while lo < stop:
             hi = min(lo + _SEGMENT, stop)
-            a = (lo + 1) // 2  # seg[i] stands for the odd number 2(a + i) + 1
-            start = a % _WHEEL
-            seg = np.resize(pattern[start : start + _WHEEL], (hi + 1) // 2 - a)
-            flags = seg.view(np.uint8)  # striking bytes beats striking bools
-            ps = base[: np.searchsorted(squares, hi, side="right")]
-            # strike from q p, q the least odd multiplier with q p > lo and q >= p
-            q = np.maximum((lo // ps + 1) | 1, ps)
-            for p, i in zip(ps.tolist(), ((q * ps - 1) // 2 - a).tolist()):
-                flags[i::p] = 0
-            primes = np.flatnonzero(seg)
-            # the suspended generator would otherwise hold these 512 KiB of
-            # flags while the caller works on the primes
-            del seg, flags
-            primes *= 2
-            primes += 2 * a + 1
+            primes = _sieve_segment(lo, hi, base[: np.searchsorted(squares, hi, side="right")],
+                                    pattern)
             if lo < _WHEEL_PRIMES[-1]:
                 head = [p for p in (2, *_WHEEL_PRIMES) if lo < p <= hi]
                 primes = np.concatenate((np.array(head, dtype=np.int64), primes))

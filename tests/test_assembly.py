@@ -13,7 +13,6 @@ import pytest
 from chebotarev import (
     BoundForm,
     ClassicalBranch,
-    Delta0Mode,
     DomainError,
     FieldParams,
     bound_eval,
@@ -74,7 +73,7 @@ class TestFinalConstants:
                 names = [(f.ells, field.name) for field in dataclasses.fields(f.ells)]
                 names += [(f, field.name) for field in dataclasses.fields(f)
                           if field.name not in ("cfg", "ells", "k")]
-                names += [(f, "alpha"), (f, "x0_log"), (f, "Y0")]
+                names += [(f, "alpha"), (f, "x0_log")]
                 for obj, name in names:
                     assert type(getattr(obj, name)) is float, (n0, present, name)
 
@@ -85,7 +84,7 @@ class TestFinalConstants:
                 f = final_constants(cfg)
                 assert f.cfg == cfg, (n0, present)
                 assert f.ells == compute_ells(cfg), (n0, present)
-                assert (f.alpha, f.x0_log, f.Y0) == (cfg.alpha, cfg.x0_log, f.ells.Y0)
+                assert (f.alpha, f.x0_log) == (cfg.alpha, cfg.x0_log)
 
     def test_exp_coeff_ordering(self):
         f = _finals_cached(2, True)
@@ -133,29 +132,32 @@ SEARCH_ROWS = [(n0, present) for n0 in range(2, 21) for present in (True, False)
 
 
 class TestChooseDelta0:
+    # a given delta0 is reproduced by standard_config(...).with_delta0, not
+    # by the search
     def test_reproduce_returns_input(self):
-        assert choose_delta0(2, True, Delta0Mode.REPRODUCE, 2.26e-3) == 2.26e-3
+        assert standard_config(2, True).with_delta0(2.26e-3).delta0 == 2.26e-3
 
     def test_reproduce_default_is_published(self):
-        assert choose_delta0(2, True, Delta0Mode.REPRODUCE) == 2.26e-3
+        assert standard_config(2, True).delta0 == 2.26e-3
 
     def test_reproduce_rejects_out_of_range(self):
         with pytest.raises(DomainError):
-            choose_delta0(2, True, Delta0Mode.REPRODUCE, 1.5)
+            standard_config(2, True).with_delta0(1.5)
         with pytest.raises(DomainError):
-            choose_delta0(2, True, Delta0Mode.REPRODUCE, 0.0)
+            standard_config(2, True).with_delta0(0.0)
 
     @pytest.mark.parametrize("n0", [1, 22, 40])
     def test_reproduce_default_rejects_row_outside_table(self, n0):
-        # with or without an explicit delta0, as SEARCH and standard_config do
+        # before any delta0 is looked at, as the search does
         for present in (True, False):
-            for delta0 in (None, 0.5, 0.9):
-                with pytest.raises(DomainError):
-                    choose_delta0(n0, present, Delta0Mode.REPRODUCE, delta0)
+            with pytest.raises(DomainError):
+                standard_config(n0, present)
+            with pytest.raises(DomainError):
+                choose_delta0(n0, present)
 
     def test_search_near_published(self):
         for n0, present in SEARCH_ROWS:
-            found = choose_delta0(n0, present, Delta0Mode.SEARCH)
+            found = choose_delta0(n0, present)
             published = DELTA0[(n0, present)]
             assert abs(found - published) / published < 0.05, (n0, present)
             # the found point must stay admissible
@@ -177,7 +179,7 @@ class TestChooseDelta0:
             assert all(a < b for a, b in zip(vals, vals[1:])), (n0, present)
 
     def test_search_top_row(self):
-        assert choose_delta0(21, True, Delta0Mode.SEARCH) == 0.99999
+        assert choose_delta0(21, True) == 0.99999
 
     def test_search_objective_not_worse_than_published(self):
         def objective(n0, present, d):
@@ -185,7 +187,7 @@ class TestChooseDelta0:
             f = final_constants(cfg, k=0)
             return min(f.max_E12, f.E3_tilde)
 
-        found = choose_delta0(3, False, Delta0Mode.SEARCH)
+        found = choose_delta0(3, False)
         published = 2.71e-3
         assert objective(3, False, found) <= objective(3, False, published) * (1 + 1e-6)
 

@@ -18,10 +18,9 @@ from chebotarev import (
     RegimeThreshold,
     bessel_I,
     bessel_K,
-    ell6,
-    ell7,
     k2_upper_bound,
 )
+from chebotarev.constants import ell6, ell7
 from chebotarev.zeros import ALPHA1, ALPHA2, ALPHA3, R2
 
 

@@ -413,6 +413,24 @@ def test_unwritable_out_is_usage_error(tmp_path, argv, target):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("redirect, unbuffered", [
+    (">/dev/full", False), (">/dev/full", True), (">&-", False),
+])
+def test_unwritable_stdout_is_usage_error(redirect, unbuffered):
+    # a failed write to stdout, or a closed stdout, ends like a failed
+    # --out: one error line and exit 2, not a traceback, whether stdout is
+    # buffered or not
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    res = subprocess.run(["sh", "-c", f'"$0" -m chebotarev.cli tables --id 2 {redirect}',
+                          sys.executable], stderr=subprocess.PIPE, text=True, env=env)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: cannot write to stdout: ")
+    assert res.stderr.count("\n") == 1, res.stderr
+
+
 # ------------------------------------------------------------------ start-up
 
 # cli.main(argv) in a fresh process; prints the chebotarev modules it
@@ -456,7 +474,7 @@ def _numpy_uses_openblas():
 # the public names of the package, as `import chebotarev` loaded them eagerly
 PUBLIC_NAMES = [
     "ALPHA1", "ALPHA2", "ALPHA3", "BesselArgs", "BoundForm", "BoundReport", "ClassCount",
-    "ClassicalBranch", "ClassicalConstants", "ConjugacyClass", "Delta0Mode", "DomainError",
+    "ClassicalBranch", "ClassicalConstants", "ConjugacyClass", "DomainError",
     "EllConstants", "Endpoint", "FieldParams", "FinalConstants", "MINKOWSKI_TABLE",
     "MinkowskiRow", "NumericError", "P_E_L", "PoleError", "Q_kernel", "Q_kernel_partial_u",
     "QuadraticField", "R1", "R2", "RegimeThreshold", "ResourceError", "SearchError",
@@ -496,13 +514,16 @@ class TestStartUp:
 
     @pytest.mark.parametrize("argv", [
         ["tables", "--id", "4"],
-        ["params", "--n0", "2"],
-        ["bound", "--nL", "2", "--dL", "5", "--logx", "100"],
+        ["params", "--n0", "7"],
+        ["bound", "--nL", "5", "--dL", "1e6", "--logx", "1e5"],
     ])
     def test_constants_commands_load_no_verifier(self, argv):
+        # nor bessel: the ell's all live in constants, and bessel holds
+        # only the lemma checks
         modules, _ = _fresh_cli(*argv)
         assert "chebotarev.assembly" in modules
         assert "chebotarev.verifier" not in modules
+        assert "chebotarev.bessel" not in modules
 
     def test_public_names_resolve_lazily(self):
         code = ("import importlib, json, chebotarev\n"

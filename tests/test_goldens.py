@@ -1,0 +1,127 @@
+"""Byte identity: the outputs the benchmark recorded in perfbench/goldens.json
+replay unchanged, in-process.
+
+The goldens, the benchmark's input generators (perfbench/inputs.py) and
+its output checks (perfbench/checks.py) are only read here: the two
+modules are compiled from source, so nothing is written under perfbench/.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from chebotarev import cli, zeros
+from chebotarev.assembly import BoundForm, bound_eval
+from chebotarev.invariants import FieldParams
+from test_zeros import avx512_features
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name: str) -> types.ModuleType:
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+checks = _perfbench_module("checks")
+inputs = _perfbench_module("inputs")
+GOLDENS = checks.load_goldens()
+
+# These four outputs print alpha0 values to the last bit, so their bytes
+# follow numpy's power kernel.  goldens.json holds what numpy's AVX-512
+# kernel gives; these digests are what every other kernel gives (recorded
+# with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
+LIBM_DIGESTS = {
+    "params --n0 2 --beta0 present --format jsonl":
+        "340ecad306fb2aeea0b3e41eb0cc089fdc9a85142e077fc53fae718b85b4e8d7",
+    "params --n0 2 --beta0 absent --format jsonl":
+        "d3fe311d6e1c4560e28d16630a40bb6e8f9df3656d1301b5b0bd0a24fe82612a",
+    "params --n0 21 --beta0 present --format jsonl":
+        "4c80cdecf8c2d46e6d780ab2124f44aae841f973ca4f1f94f61fcead2414e081",
+    "params --n0 21 --beta0 absent --format jsonl":
+        "ca83289fbcbda6cfac09fb789cee6994ae668fb3dee465499fdd22519498f317",
+}
+
+
+def _stdout_of(key: str) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(key.split(" ")) == 0, key
+    return buf.getvalue()
+
+
+def _numpy_power_is_libm() -> bool:
+    """True when numpy's power rounds like Python's 10.0 ** y at every point
+    of the eps grid, as it does without AVX-512."""
+    idx = np.arange(1, zeros._GRID_SIZE - 1)  # the two ends are pinned
+    l0 = np.log10(zeros._EPS_LO)
+    y = idx * ((np.log10(zeros._EPS_HI) - l0) / (zeros._GRID_SIZE - 1)) + l0
+    return zeros._eps_points(idx).tolist() == [10.0 ** v for v in y.tolist()]
+
+
+def _mismatches(keys) -> list[str]:
+    """The keys whose stdout differs from the golden of the kernel in use."""
+    wants = LIBM_DIGESTS if _numpy_power_is_libm() else GOLDENS["constants"]
+    return [k for k in keys
+            if checks.digest(_stdout_of(k).encode("utf-8")) != wants.get(k, GOLDENS["constants"][k])]
+
+
+def test_goldens_cover_every_constants_command():
+    assert len(GOLDENS["constants"]) == 270
+    assert LIBM_DIGESTS.keys() <= GOLDENS["constants"].keys()
+
+
+def test_constants_digests():
+    # every tables and params invocation, and the bound calls of seed 1
+    assert _mismatches(GOLDENS["constants"]) == []
+
+
+def test_kernel_dependent_params_without_avx512():
+    # on an AVX-512 host the test above checks the goldens' branch; the
+    # other branch runs here, with numpy's AVX-512 kernels disabled
+    found = avx512_features()
+    if not found:
+        pytest.skip("numpy reports no AVX-512 feature to disable")
+    code = ("import json, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import test_goldens as t\n"
+            "print(json.dumps([t._numpy_power_is_libm(), t._mismatches(t.LIBM_DIGESTS)]))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(found)})
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [True, []]
+
+
+def test_bound_stream_records():
+    goldens = GOLDENS["bound-stream"]
+    assert len(goldens) == 256
+    failures = []
+    for q, golden in zip(inputs.stream_pool(inputs.DEFAULT_SEED, len(goldens)), goldens):
+        r = bound_eval(FieldParams(q.n_L, q.log_d), q.log_x, q.beta0 == "present",
+                       BoundForm(q.form))
+        why = checks.check_bound(q.log_x, checks.bound_record(r), golden)
+        if why is not None:
+            failures.append((q, why))
+    assert failures == []
+
+
+def test_verify_grid_goldens():
+    keys = [k for k in GOLDENS["verify"] if "--x-grid" in k]
+    assert len(keys) == 12
+    for key in keys:
+        argv = key.split(" ")
+        text = _stdout_of(key)
+        assert checks.check_verify(argv, text, GOLDENS["verify"][key]) is None, key
+        assert checks.verify_values(argv, text) == GOLDENS["verify"][key], key

@@ -1,5 +1,6 @@
 """Exact psi_C for quadratic fields against brute-force oracles."""
 
+import json
 import math
 import random
 import subprocess
@@ -310,6 +311,37 @@ class TestPrimeInfrastructure:
         # ~37 KiB more
         small, large = self.sweep_peak(2**22, 2**16), self.sweep_peak(2**24, 2**16)
         assert large - small < 16 * 2**10
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
+    def test_strike_near_the_cap(self):
+        # a segment ending at MAX_SIEVE_LIMIT - 1 strikes with the 564 157
+        # base primes from 17 to 2^23.  Turned into Python ints a chunk at a
+        # time they raise the peak RSS of a fresh process by under 16 MiB; as
+        # one list a segment, by about 35 MiB.  The window is 2^16
+        # numbers, so that is_prime can check every number emitted: the
+        # strike visits every base prime whatever the window's length.
+        # (tracemalloc would see the same, but slows the strike loop 15-fold)
+        hi = verifier.MAX_SIEVE_LIMIT - 1
+        lo = hi - 2**16
+        code = ("import json, resource\n"
+                "from chebotarev import verifier\n"
+                "base = verifier.primes_up_to(2**23)\n"
+                f"ps = base[(base > 13) & (base * base <= {hi})]\n"
+                "pattern = verifier._wheel_pattern()\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                f"primes = verifier._sieve_segment({lo}, {hi}, ps, pattern)\n"
+                "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+                "print(json.dumps([len(ps), grown, primes.tolist()]))\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        strikers, grown_kib, primes = json.loads(res.stdout)
+        assert strikers == 564_157
+        assert grown_kib < 16 * 2**10
+        assert len(primes) > 1000 and all(is_prime(p) for p in primes)
+        assert lo < primes[0] and primes[-1] <= hi
+        emitted = set(primes)
+        rest = [n for n in range((lo + 1) | 1, hi + 1, 2) if n not in emitted]
+        assert not any(is_prime(n) for n in random.Random(46).sample(rest, 500))
 
     def test_miller_rabin(self):
         primes = set(trial_primes(2000))

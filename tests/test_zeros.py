@@ -35,6 +35,16 @@ from chebotarev.invariants import MINKOWSKI_TABLE
 from chebotarev.reference_values import TABLE2_OMEGA_TO_T, matches_printed
 
 
+def avx512_features() -> list[str]:
+    """The AVX-512 features numpy uses here, as NPY_DISABLE_CPU_FEATURES
+    names them; disabling them gives the kernels of a CPU without AVX-512."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f)]
+
+
 class TestC123:
     def test_unit_arguments_collapse(self):
         c1, c2, c3 = c123(1.0, 1.0, 0.0)
@@ -217,11 +227,7 @@ class TestAlpha0Window:
     def test_bit_for_bit_without_avx512(self):
         # numpy picks its log and power kernels by CPU feature; the search
         # must match the full grid on the kernels a CPU without AVX-512 runs
-        try:
-            from numpy._core._multiarray_umath import __cpu_features__
-        except ImportError:  # numpy < 2
-            from numpy.core._multiarray_umath import __cpu_features__
-        found = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.get(f)]
+        found = avx512_features()
         if not found:
             pytest.skip("numpy reports no AVX-512 feature to disable")
         tests = [f"{__file__}::TestAlpha0Window::{name}" for name in (
