@@ -15,6 +15,10 @@ TuningConfig and its ell's next to the E/D/C constants, so every consumer
 that record alone.  _finals_cached keeps one record per table row and
 beta_0 state for the process, which warm bound evaluation reads.
 
+Each of the eight published tables is one spec in _TABLES (its printed
+rows, its row-level cells and, for tables 4-8, one block of cells per
+beta_0 state), and generate_table builds every one in the same loop.
+
 The smoothing, bessel and invariants functions and ell6/ell7 keep general
 m; TuningConfig fixes m = 1, where the decay exponent
 2 sqrt(m)/((m+1) sqrt(R2)) is maximal.
@@ -30,10 +34,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import attrgetter
+from typing import Any
 
 from . import reference_values as pv
 from .constants import EllConstants, TuningConfig, compute_ells
@@ -515,67 +520,8 @@ class Table:
     rel_tol: float | None  # None selects the round-up band policy
 
 
-def generate_table(table_id: int, beta0: str = "both") -> Table:
-    """Recompute one published table.
-
-    beta0 selects the exceptional-zero columns for tables that split by
-    state ('present', 'absent' or 'both'); tables 1-3 ignore it.
-    """
-    if table_id not in TABLE_IDS:
-        raise DomainError(f"table id must be one of {TABLE_IDS}, got {table_id}")
-    if beta0 not in ("present", "absent", "both"):
-        raise DomainError(f"beta0 must be present/absent/both, got {beta0!r}")
-
-    builder = {1: _table1, 2: _table2, 3: _table3}.get(table_id)
-    return builder() if builder else _split_table(table_id, beta0)
-
-
-def _table1() -> Table:
-    from .zeros import alpha0, alpha0_prime
-
-    labels, comp, printed = [], [], []
-    for n0, cells in pv.TABLE1_ALPHA0.items():
-        row = minkowski_lookup(n0)
-        labels.append(str(n0))
-        comp.append((
-            alpha0(0.5, row), alpha0(1.0, row), alpha0(2.0, row),
-            alpha0_prime(1.0, row), alpha0_prime(2.0, row),
-        ))
-        printed.append(cells)
-    return Table(1, _TABLE_TITLES[1],
-                 ("n0", "alpha0(1/2)", "alpha0(1)", "alpha0(2)", "alpha0'(1)", "alpha0'(2)"),
-                 tuple(labels), tuple(comp), tuple(printed), None)
-
-
-def _table2() -> Table:
-    from .zeros import solve_omega0, solve_t0
-
-    labels, comp, printed = [], [], []
-    for omega_s, t_s in pv.TABLE2_OMEGA_TO_T:
-        labels.append(f"omega0={omega_s}")
-        comp.append((float(omega_s), solve_t0(float(omega_s))))
-        printed.append((omega_s, t_s))
-    for t_s, omega_s in pv.TABLE2_T_TO_OMEGA:
-        labels.append(f"t0={t_s}")
-        comp.append((solve_omega0(float(t_s)), float(t_s)))
-        printed.append((omega_s, t_s))
-    return Table(2, _TABLE_TITLES[2], ("given", "omega0", "t0"),
-                 tuple(labels), tuple(comp), tuple(printed), None)
-
-
-def _table3() -> Table:
-    labels, comp, printed = [], [], []
-    for n0, (d0_s, M_s) in pv.TABLE3_MINKOWSKI.items():
-        row = minkowski_lookup(n0)
-        labels.append(str(n0))
-        comp.append((math.exp(row.log_d0), row.M))
-        printed.append((d0_s, M_s))
-    return Table(3, _TABLE_TITLES[3], ("n0", "d0", "M"),
-                 tuple(labels), tuple(comp), tuple(printed), None)
-
-
 def _split_tail(cells: tuple) -> tuple[tuple, tuple, tuple]:
-    """(shared..., present block, absent block)"""
+    """(row-level..., present block, absent block)"""
     return cells[:-2], cells[-2], cells[-1]
 
 
@@ -584,19 +530,33 @@ def _split_a0(cells: tuple) -> tuple[tuple, tuple, tuple]:
     return (), (cells[0], *cells[2:]), (cells[1], *cells[2:])
 
 
-@dataclass(frozen=True)
-class _SplitTable:
-    """A table whose rows hold cells shared by both exceptional-zero states,
-    then one block of cells per state, each read off that state's record."""
+def _record(*attrs: str) -> Callable[[Any, list[FinalConstants]], tuple]:
+    """Row-level cells read off the first state's record: they depend on
+    the row alone.  With no attributes no record is read."""
+    return lambda key, finals: tuple(getattr(finals[0], a) for a in attrs)
 
-    reference: dict[int, tuple]  # printed rows by n0
-    split: Callable[[tuple], tuple[tuple, tuple, tuple]]  # -> shared, present, absent
-    shared: tuple[tuple[str, str], ...]  # (column, FinalConstants attribute)
-    state_columns: tuple[str, ...]
-    state_cells: Callable[[FinalConstants], tuple[float, ...]]
-    first: str = "n0"
-    rel_tol: float | None = None
-    extra_rows: Callable[[tuple[bool, ...]], list[tuple[str, list, list]]] | None = None
+
+def _table1_cells(n0: int, finals: list[FinalConstants]) -> tuple[float, ...]:
+    from .zeros import alpha0, alpha0_prime
+
+    row = minkowski_lookup(n0)
+    return (alpha0(0.5, row), alpha0(1.0, row), alpha0(2.0, row),
+            alpha0_prime(1.0, row), alpha0_prime(2.0, row))
+
+
+def _table2_reference() -> dict[tuple[str, str], tuple[str, str]]:
+    """Both sections of table 2, keyed (given, value), omega0 rows first;
+    each printed row is (omega0, t0)."""
+    rows = {("omega0", omega_s): (omega_s, t_s) for omega_s, t_s in pv.TABLE2_OMEGA_TO_T}
+    rows.update({("t0", t_s): (omega_s, t_s) for t_s, omega_s in pv.TABLE2_T_TO_OMEGA})
+    return rows
+
+
+def _table2_cells(key: tuple[str, str], finals: list[FinalConstants]) -> tuple[float, float]:
+    from .zeros import solve_omega0, solve_t0
+
+    given, value = key[0], float(key[1])
+    return (value, solve_t0(value)) if given == "omega0" else (solve_omega0(value), value)
 
 
 def _table7_range_rows(use: tuple[bool, ...]) -> list[tuple[str, list, list]]:
@@ -617,49 +577,84 @@ def _table7_range_rows(use: tuple[bool, ...]) -> list[tuple[str, list, list]]:
     return rows
 
 
-_SPLIT_TABLES = {
-    4: _SplitTable(pv.TABLE4, _split_tail, (("alpha", "alpha"), ("log_x0", "x0_log")),
-                   ("delta0", "max(E1,E2)", "N0", "E3", "E3~"),
-                   attrgetter("cfg.delta0", "max_E12", "N0", "E3", "E3_tilde")),
-    5: _SplitTable(pv.TABLE5, _split_tail, (("alpha", "alpha"),),
-                   ("D12", "N0", "D3", "D3~"),
-                   attrgetter("D12", "N0", "D3", "D3_tilde")),
-    6: _SplitTable(pv.TABLE6, _split_tail,
-                   (("alpha", "alpha"), ("exp_full", "exp_coeff_full"),
-                    ("exp_half", "exp_coeff_half")),
-                   ("N0", "C12", "C3", "C3~"),
-                   attrgetter("N0", "C12", "C3", "C3_tilde")),
-    7: _SplitTable(pv.TABLE7_PER_DEGREE, _split_a0, (), ("a0", "b0", "c0"),
-                   lambda f: attrgetter("a0", "b0", "c0")(
-                       classical_constants(f, ClassicalBranch.REFINED, B0_REFINED)),
-                   "n_L", pv.GUARD_TABLES_REL_TOL, _table7_range_rows),
-    8: _SplitTable(pv.TABLE8, _split_a0, (), ("a0", "c0"),
-                   lambda f: attrgetter("a0", "c0")(
-                       classical_constants(f, ClassicalBranch.FULL, B0_FULL)),
-                   "n0", pv.GUARD_TABLES_REL_TOL),
+@dataclass(frozen=True)
+class _TableSpec:
+    """One published table: its printed rows by key, read from
+    reference_values at call time, each split into row-level cells and one
+    block per exceptional-zero state; the computed row-level cells come
+    from the key or the first state's record, each state's block from that
+    state's record.  Without state_cells there are no blocks."""
+
+    reference: Callable[[], Mapping[Any, tuple]]
+    columns: tuple[str, ...]  # the label column, then the row-level columns
+    row_cells: Callable[[Any, list[FinalConstants]], tuple]  # (key, records)
+    split: Callable[[tuple], tuple[tuple, tuple, tuple]] = lambda cells: (cells, (), ())
+    state_columns: tuple[str, ...] = ()
+    state_cells: Callable[[FinalConstants], tuple[float, ...]] | None = None
+    label: Callable[[Any], str] = str
+    rel_tol: float | None = None
+    extra_rows: Callable[[tuple[bool, ...]], list[tuple[str, list, list]]] | None = None
+
+
+_TABLES = {
+    1: _TableSpec(lambda: pv.TABLE1_ALPHA0,
+                  ("n0", "alpha0(1/2)", "alpha0(1)", "alpha0(2)", "alpha0'(1)", "alpha0'(2)"),
+                  _table1_cells),
+    2: _TableSpec(_table2_reference, ("given", "omega0", "t0"), _table2_cells, label="=".join),
+    3: _TableSpec(lambda: pv.TABLE3_MINKOWSKI, ("n0", "d0", "M"),
+                  lambda n0, _: (math.exp(minkowski_lookup(n0).log_d0), minkowski_lookup(n0).M)),
+    4: _TableSpec(lambda: pv.TABLE4, ("n0", "alpha", "log_x0"), _record("alpha", "x0_log"),
+                  _split_tail, ("delta0", "max(E1,E2)", "N0", "E3", "E3~"),
+                  attrgetter("cfg.delta0", "max_E12", "N0", "E3", "E3_tilde")),
+    5: _TableSpec(lambda: pv.TABLE5, ("n0", "alpha"), _record("alpha"),
+                  _split_tail, ("D12", "N0", "D3", "D3~"),
+                  attrgetter("D12", "N0", "D3", "D3_tilde")),
+    6: _TableSpec(lambda: pv.TABLE6, ("n0", "alpha", "exp_full", "exp_half"),
+                  _record("alpha", "exp_coeff_full", "exp_coeff_half"),
+                  _split_tail, ("N0", "C12", "C3", "C3~"),
+                  attrgetter("N0", "C12", "C3", "C3_tilde")),
+    7: _TableSpec(lambda: pv.TABLE7_PER_DEGREE, ("n_L",), _record(), _split_a0, ("a0", "b0", "c0"),
+                  lambda f: attrgetter("a0", "b0", "c0")(
+                      classical_constants(f, ClassicalBranch.REFINED, B0_REFINED)),
+                  rel_tol=pv.GUARD_TABLES_REL_TOL, extra_rows=_table7_range_rows),
+    8: _TableSpec(lambda: pv.TABLE8, ("n0",), _record(), _split_a0, ("a0", "c0"),
+                  lambda f: attrgetter("a0", "c0")(
+                      classical_constants(f, ClassicalBranch.FULL, B0_FULL)),
+                  rel_tol=pv.GUARD_TABLES_REL_TOL),
 }
 
 
-def _split_table(table_id: int, beta0: str) -> Table:
-    spec = _SPLIT_TABLES[table_id]
+def generate_table(table_id: int, beta0: str = "both") -> Table:
+    """Recompute one published table from its one spec in _TABLES.
+
+    beta0 selects the exceptional-zero blocks ('present', 'absent' or
+    'both') of tables 4-8; tables 1-3 have none, ignore it and build no
+    FinalConstants record.
+    """
+    if table_id not in TABLE_IDS:
+        raise DomainError(f"table id must be one of {TABLE_IDS}, got {table_id}")
+    if beta0 not in ("present", "absent", "both"):
+        raise DomainError(f"beta0 must be present/absent/both, got {beta0!r}")
+
+    spec = _TABLES[table_id]
     use = (True, False) if beta0 == "both" else (beta0 == "present",)
+    if spec.state_cells is None:
+        use = ()
     rows = []
-    for n0, cells in spec.reference.items():
+    for key, cells in spec.reference().items():
         shared, present_cells, absent_cells = spec.split(cells)
-        finals = [_finals_cached(n0, present) for present in use]
-        # the shared cells depend on the row alone: read them off the first state
-        crow = [getattr(finals[0], attr) for _, attr in spec.shared]
+        finals = [_finals_cached(key, present) for present in use]
+        crow = list(spec.row_cells(key, finals))
         prow = list(shared)
         for present, f in zip(use, finals):
             crow += spec.state_cells(f)
             prow += present_cells if present else absent_cells
-        rows.append((str(n0), crow, prow))
+        rows.append((spec.label(key), crow, prow))
     if spec.extra_rows is not None:
         rows += spec.extra_rows(use)
 
     state_names = [f"{c} [{'present' if p else 'absent'}]" for p in use for c in spec.state_columns]
-    return Table(table_id, _TABLE_TITLES[table_id],
-                 (spec.first, *(c for c, _ in spec.shared), *state_names),
+    return Table(table_id, _TABLE_TITLES[table_id], (*spec.columns, *state_names),
                  tuple(label for label, _, _ in rows),
                  tuple(tuple(c) for _, c, _ in rows),
                  tuple(tuple(p) for _, _, p in rows), spec.rel_tol)

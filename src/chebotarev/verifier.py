@@ -25,8 +25,9 @@ period of a wheel pattern.  Log sums run exactly on integers in units of
 
 Importing this module builds no array, and nothing outlives a sweep.  One
 sweep holds the wheel pattern (30 030 flags), the base primes up to
-sqrt(x), the character's table of residues mod |D| (for |D| <= 10^6), six
-integer sums per grid point and one segment at a time.  A segment's 2^19
+sqrt(x), the character's table of residues mod |D| (for |D| <= 10^6;
+above, a segment's character is a vectorised Jacobi symbol), six integer
+sums per grid point and one segment at a time.  A segment's 2^19
 flags are freed once its primes are listed.  Its class sums then take the
 primes' logs as int64, split into two 29-bit halves, and multiply the
 character values into each half in place: no class-index array and no
@@ -146,10 +147,14 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all of the bases 2..17: below it, and so
+# for every number a sieve up to 2^46 emits, those seven bases decide
+_MR_SEVEN_BASES_BELOW = 341_550_071_728_321
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < 3.3e24: the bases 2..17
+    below 341 550 071 728 321, all twelve bases 2..37 from there up."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -159,7 +164,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for base in _MR_BASES:
+    for base in _MR_BASES[:7] if n < _MR_SEVEN_BASES_BELOW else _MR_BASES:
         x = pow(base, d, n)
         if x in (1, n - 1):
             continue
@@ -267,6 +272,48 @@ def _residue_table(D: int) -> np.ndarray:
     return table
 
 
+_ODD_POWERS = 0x2AAAAAAAAAAAAAAA  # bits 1, 3, ..., 61: the 2^t < 2^63 with t odd
+
+
+def _jacobi(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Jacobi symbols (a/n), int8, for int64 arrays with n odd and
+    0 <= a < n, by the binary algorithm.  Every value stays below n and no
+    product is formed, so it is exact for every n < 2^63.  Each round
+    strips the powers of 2 from a, flipping the sign when (2/n) = -1 for an
+    odd power (n = 3, 5 mod 8), then swaps a and n by reciprocity, flipping
+    when both are 3 mod 4, and reduces a mod n; a pair leaves at a = 0,
+    with (a/n) = 0 unless n = 1."""
+    out = np.empty(len(n), dtype=np.int8)
+    idx = np.arange(len(n))
+    flips = np.zeros(len(n), dtype=np.int64)
+    while idx.size:
+        live = a != 0
+        if not live.all():
+            done = ~live
+            out[idx[done]] = np.where(n[done] == 1, 1 - 2 * flips[done], 0)
+            idx, a, n, flips = idx[live], a[live], n[live], flips[live]
+            if not idx.size:
+                break
+        low = a & -a
+        flips ^= ((low & _ODD_POWERS) != 0) & ((n >> 1) ^ (n >> 2)) & 1
+        a = a // low
+        flips ^= (a & n) >> 1 & 1
+        a, n = n % a, a
+    return out
+
+
+def _character(D: int, primes: np.ndarray) -> np.ndarray:
+    """(D/p), int8, for the ascending primes p of primes and |D| <= 10^18:
+    the (D/2) rule at p = 2 and, for odd p, the Jacobi symbol of
+    (D mod p, p)."""
+    head = int(primes[:1].tolist() == [2])
+    chi = np.empty(len(primes), dtype=np.int8)
+    chi[:head] = 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
+    odd = primes[head:]
+    chi[head:] = _jacobi(np.remainder(np.int64(D), odd), odd)
+    return chi
+
+
 def _sieve_segment(lo: int, hi: int, ps: np.ndarray, pattern: np.ndarray) -> np.ndarray:
     """The primes in (lo, hi] above 13, lo >= 1, given ps = the primes from
     17 to sqrt(hi).  The strike turns at most _STRIKE_CHUNK of ps into
@@ -357,16 +404,15 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
     stops = sorted({math.floor(x) for x in xs})
     top = stops[-1]
     # (D/p) is a character mod |D|.  Up to |D| = 10^6 its table takes a few
-    # ms at most to build and a lookup ~7 ns a prime; above that, one symbol
-    # call a prime
+    # ms at most to build and a lookup ~7 ns a prime; above that, the
+    # vectorised Jacobi symbol takes ~0.5 us a prime
     modulus = abs(D)
     table = _residue_table(D) if modulus <= 10**6 else None
     # ledger[j] holds the units in (stops[j-1], stops[j]]: the identity,
     # nontrivial and total first powers, the identity, nontrivial, chi = 0 higher
     ledger = [[0] * 6 for _ in stops]
     for hi, primes in _segments(stops):
-        chi = table[primes % modulus] if table is not None else np.array(
-            [kronecker_symbol(D, int(p)) for p in primes], dtype=np.int8)
+        chi = table[primes % modulus] if table is not None else _character(D, primes)
         # p < 2^46 converts exactly, and log p * 2^53 is an integer below 2^58
         units = primes.astype(np.float64)
         np.log(units, out=units)

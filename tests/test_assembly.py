@@ -431,6 +431,32 @@ class TestTables:
             generate_table(k, "absent")
         assert _finals_cached.cache_info().currsize == 20
 
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_unsplit_tables_ignore_the_selector_and_build_no_record(self, k):
+        _finals_cached.cache_clear()
+        tables = {repr(generate_table(k, beta0)) for beta0 in ("present", "absent", "both")}
+        assert len(tables) == 1
+        assert _finals_cached.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_one_state_is_its_columns_of_both(self, k):
+        # every non-blank cell of a one-state table, keyed (row, column), is
+        # the cell of the both-states table there, and nothing of both in
+        # those columns is missing; only table 7's range rows hold blanks
+        def cells(t):
+            return {(label, col): (repr(c), p) for label, crow, prow
+                    in zip(t.labels, t.computed, t.printed)
+                    for col, c, p in zip(t.columns[1:], crow, prow) if (repr(c), p) != ("nan", None)}
+
+        both = generate_table(k, "both")
+        for state in ("present", "absent"):
+            one = generate_table(k, state)
+            assert one.columns == tuple(c for c in both.columns if c in one.columns)
+            assert len(one.columns) < len(both.columns)
+            assert (one.title, one.rel_tol) == (both.title, both.rel_tol)
+            assert cells(one) == {key: v for key, v in cells(both).items() if key[1] in one.columns}
+            assert set(one.labels) == {label for label, _ in cells(one)}  # no blank row
+
     def test_table3_is_exact_embedded_data(self):
         t = generate_table(3)
         assert len(t.labels) == 20

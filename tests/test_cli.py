@@ -503,6 +503,7 @@ class TestStartUp:
         ["tables", "--id", "99"],
         ["verify", "--disc", "5", "--x-grid", "1e3,abc"],
         ["tables", "--id", "2"],
+        ["tables", "--id", "3", "--beta0", "present"],
     ])
     def test_no_numpy(self, argv):
         assert "numpy" not in _fresh_cli(*argv)[0]

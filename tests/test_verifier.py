@@ -222,6 +222,39 @@ class TestKronecker:
             for r in rng.sample(range(abs(D)), 10_000):
                 assert table[r] == kronecker_symbol(D, r), (D, r)
 
+    # |D| above the table's cut-off, negative ones and ones near the cap
+    # 10^18 included, in every class mod 8: the symbol needs no fundamental D
+    WIDE_DISCS = (1000005, -1000003, 1000012, -1000024, 4000001, 1000003, -1000001,
+                  999999999999999901, -999999999999999903, 10**18, -(10**18))
+
+    def test_vectorised_character_on_small_primes(self):
+        # every prime below 10^6, 2 included
+        primes = primes_up_to(10**6)
+        for D in self.WIDE_DISCS:
+            want = [kronecker_symbol(D, p) for p in primes.tolist()]
+            assert verifier._character(D, primes).tolist() == want, D
+
+    def test_vectorised_character_near_the_sieve_cap(self):
+        rng = random.Random(20261018)
+        cap = verifier.MAX_SIEVE_LIMIT
+        primes = []
+        while len(primes) < 300:
+            n = rng.randrange(cap - 10**9, cap) | 1
+            if is_prime(n):
+                primes.append(n)
+        primes = np.array(sorted(primes), dtype=np.int64)
+        for D in self.WIDE_DISCS:
+            want = [kronecker_symbol(D, p) for p in primes.tolist()]
+            assert verifier._character(D, primes).tolist() == want, D
+
+    def test_jacobi_up_to_int64(self):
+        # odd n, prime or not, up to 2^63 - 1: no value leaves int64
+        rng = random.Random(63)
+        n = [rng.randrange(1, 2**bits, 2) for bits in (3, 20, 46, 62, 63) for _ in range(400)]
+        a = [rng.randrange(v) for v in n]
+        got = verifier._jacobi(np.array(a, dtype=np.int64), np.array(n, dtype=np.int64))
+        assert got.tolist() == [kronecker_symbol(x, v) for x, v in zip(a, n)]
+
 
 class TestPrimeInfrastructure:
     def test_primes_up_to_matches_trial_division(self):
@@ -351,6 +384,10 @@ class TestPrimeInfrastructure:
         assert not is_prime(2**31)
         # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
         assert not is_prime(3215031751)
+        # the least strong pseudoprime to the bases 2..17 (and 19): the
+        # seven bases decide every n below it, and it takes all twelve
+        assert not is_prime(341_550_071_728_321)
+        assert is_prime(verifier.MAX_SIEVE_LIMIT - 21)  # the largest prime below the sieve cap
 
 
 class TestPsiExact:
