@@ -544,19 +544,24 @@ def _table1_cells(n0: int, finals: list[FinalConstants]) -> tuple[float, ...]:
             alpha0_prime(1.0, row), alpha0_prime(2.0, row))
 
 
-def _table2_reference() -> dict[tuple[str, str], tuple[str, str]]:
-    """Both sections of table 2, keyed (given, value), omega0 rows first;
-    each printed row is (omega0, t0)."""
-    rows = {("omega0", omega_s): (omega_s, t_s) for omega_s, t_s in pv.TABLE2_OMEGA_TO_T}
-    rows.update({("t0", t_s): (omega_s, t_s) for t_s, omega_s in pv.TABLE2_T_TO_OMEGA})
+def _table2_reference() -> dict[str, tuple[str, str]]:
+    """Both sections of table 2, keyed by the printed label given=value,
+    omega0 rows first; each printed row is (omega0, t0)."""
+    rows = {f"omega0={omega_s}": (omega_s, t_s) for omega_s, t_s in pv.TABLE2_OMEGA_TO_T}
+    rows.update({f"t0={t_s}": (omega_s, t_s) for t_s, omega_s in pv.TABLE2_T_TO_OMEGA})
     return rows
 
 
-def _table2_cells(key: tuple[str, str], finals: list[FinalConstants]) -> tuple[float, float]:
+def _table2_cells(label: str, finals: list[FinalConstants]) -> tuple[float, float]:
     from .zeros import solve_omega0, solve_t0
 
-    given, value = key[0], float(key[1])
-    return (value, solve_t0(value)) if given == "omega0" else (solve_omega0(value), value)
+    value = float(label.split("=")[1])
+    return (value, solve_t0(value)) if label.startswith("omega0=") else (solve_omega0(value), value)
+
+
+def _table3_cells(n0: int, finals: list[FinalConstants]) -> tuple[float, float]:
+    row = minkowski_lookup(n0)
+    return math.exp(row.log_d0), row.M
 
 
 def _table7_range_rows(use: tuple[bool, ...]) -> list[tuple[str, list, list]]:
@@ -582,16 +587,15 @@ class _TableSpec:
     """One published table: its printed rows by key, read from
     reference_values at call time, each split into row-level cells and one
     block per exceptional-zero state; the computed row-level cells come
-    from the key or the first state's record, each state's block from that
-    state's record.  Without state_cells there are no blocks."""
+    from the key or the first state's record (by default none), each
+    state's block from that state's record.  No state_cells, no blocks."""
 
     reference: Callable[[], Mapping[Any, tuple]]
     columns: tuple[str, ...]  # the label column, then the row-level columns
-    row_cells: Callable[[Any, list[FinalConstants]], tuple]  # (key, records)
+    row_cells: Callable[[Any, list[FinalConstants]], tuple] = _record()  # (key, records)
     split: Callable[[tuple], tuple[tuple, tuple, tuple]] = lambda cells: (cells, (), ())
     state_columns: tuple[str, ...] = ()
     state_cells: Callable[[FinalConstants], tuple[float, ...]] | None = None
-    label: Callable[[Any], str] = str
     rel_tol: float | None = None
     extra_rows: Callable[[tuple[bool, ...]], list[tuple[str, list, list]]] | None = None
 
@@ -600,9 +604,8 @@ _TABLES = {
     1: _TableSpec(lambda: pv.TABLE1_ALPHA0,
                   ("n0", "alpha0(1/2)", "alpha0(1)", "alpha0(2)", "alpha0'(1)", "alpha0'(2)"),
                   _table1_cells),
-    2: _TableSpec(_table2_reference, ("given", "omega0", "t0"), _table2_cells, label="=".join),
-    3: _TableSpec(lambda: pv.TABLE3_MINKOWSKI, ("n0", "d0", "M"),
-                  lambda n0, _: (math.exp(minkowski_lookup(n0).log_d0), minkowski_lookup(n0).M)),
+    2: _TableSpec(_table2_reference, ("given", "omega0", "t0"), _table2_cells),
+    3: _TableSpec(lambda: pv.TABLE3_MINKOWSKI, ("n0", "d0", "M"), _table3_cells),
     4: _TableSpec(lambda: pv.TABLE4, ("n0", "alpha", "log_x0"), _record("alpha", "x0_log"),
                   _split_tail, ("delta0", "max(E1,E2)", "N0", "E3", "E3~"),
                   attrgetter("cfg.delta0", "max_E12", "N0", "E3", "E3_tilde")),
@@ -613,12 +616,13 @@ _TABLES = {
                   _record("alpha", "exp_coeff_full", "exp_coeff_half"),
                   _split_tail, ("N0", "C12", "C3", "C3~"),
                   attrgetter("N0", "C12", "C3", "C3_tilde")),
-    7: _TableSpec(lambda: pv.TABLE7_PER_DEGREE, ("n_L",), _record(), _split_a0, ("a0", "b0", "c0"),
-                  lambda f: attrgetter("a0", "b0", "c0")(
+    7: _TableSpec(lambda: pv.TABLE7_PER_DEGREE, ("n_L",), split=_split_a0,
+                  state_columns=("a0", "b0", "c0"),
+                  state_cells=lambda f: attrgetter("a0", "b0", "c0")(
                       classical_constants(f, ClassicalBranch.REFINED, B0_REFINED)),
                   rel_tol=pv.GUARD_TABLES_REL_TOL, extra_rows=_table7_range_rows),
-    8: _TableSpec(lambda: pv.TABLE8, ("n0",), _record(), _split_a0, ("a0", "c0"),
-                  lambda f: attrgetter("a0", "c0")(
+    8: _TableSpec(lambda: pv.TABLE8, ("n0",), split=_split_a0, state_columns=("a0", "c0"),
+                  state_cells=lambda f: attrgetter("a0", "c0")(
                       classical_constants(f, ClassicalBranch.FULL, B0_FULL)),
                   rel_tol=pv.GUARD_TABLES_REL_TOL),
 }
@@ -649,7 +653,7 @@ def generate_table(table_id: int, beta0: str = "both") -> Table:
         for present, f in zip(use, finals):
             crow += spec.state_cells(f)
             prow += present_cells if present else absent_cells
-        rows.append((spec.label(key), crow, prow))
+        rows.append((str(key), crow, prow))
     if spec.extra_rows is not None:
         rows += spec.extra_rows(use)
 

@@ -147,14 +147,10 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the least strong pseudoprime to all of the bases 2..17: below it, and so
-# for every number a sieve up to 2^46 emits, those seven bases decide
-_MR_SEVEN_BASES_BELOW = 341_550_071_728_321
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24: the bases 2..17
-    below 341 550 071 728 321, all twelve bases 2..37 from there up."""
+    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -164,7 +160,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for base in _MR_BASES[:7] if n < _MR_SEVEN_BASES_BELOW else _MR_BASES:
+    for base in _MR_BASES:
         x = pow(base, d, n)
         if x in (1, n - 1):
             continue

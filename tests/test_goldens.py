@@ -118,56 +118,21 @@ def test_bound_stream_records():
 
 
 def test_verify_grid_goldens():
-    keys = [k for k in GOLDENS["verify"] if "--x-grid" in k]
-    assert len(keys) == 12
-    for key in keys:
+    # the 12 --x-grid goldens at |D| < 10^4 and the 12 single-x goldens at
+    # |D| > 10^6, whose character is the vectorised Jacobi symbol
+    assert len(GOLDENS["verify"]) == 24
+    for key in GOLDENS["verify"]:
         argv = key.split(" ")
         text = _stdout_of(key)
         assert checks.check_verify(argv, text, GOLDENS["verify"][key]) is None, key
         assert checks.verify_values(argv, text) == GOLDENS["verify"][key], key
 
 
-# verify on both sides of the residue table's cut-off |D| = 10^6, and near
-# the cap |D| <= 10^18, in every format.  Recorded when every |D| above
-# 10^6 took one kronecker_symbol call per prime; the vectorised Jacobi
-# symbol must print the same bytes.
+# verify where the goldens do not reach, in every format: |D| near the cap
+# 10^18, and even D just above 10^6 on a grid from x = 2, where p = 2 alone
+# counts.  Recorded when every |D| above 10^6 took one kronecker_symbol call
+# per prime; the vectorised Jacobi symbol must print the same bytes.
 CUTOFF_DIGESTS = {
-    "verify --disc 999997 --x-grid 2,100,12345,1e5,1e6 --format markdown":
-        "aaf0f03c0c16ed2af215c87587d0b0ebef87fb2dd74087c28c4c27eb76174af8",
-    "verify --disc 999997 --x-grid 2,100,12345,1e5,1e6 --format csv":
-        "e4ecebc155e98a21b2ca05ddd4d07ba381e0495879ddd82790305e38c413a49a",
-    "verify --disc 999997 --x-grid 2,100,12345,1e5,1e6 --format jsonl":
-        "3a89652a8a045076b96b343ea80cfd460111bc8a6e7ce59acfecd9de534d6cf4",
-    "verify --disc -999995 --x-grid 2,100,12345,1e5,1e6 --format markdown":
-        "80ab9fbde594185a4ae1999263ec16e4fd2d2cd8737630146847f3334f566f28",
-    "verify --disc -999995 --x-grid 2,100,12345,1e5,1e6 --format csv":
-        "95fb34814e0001b595b1e4cd1c23482c8cd9844a266972d9987d59faafd9c31b",
-    "verify --disc -999995 --x-grid 2,100,12345,1e5,1e6 --format jsonl":
-        "984f90c223c93cbe7e1f53a1ad2f62e537befbbd89fd7549438e351e9f049591",
-    "verify --disc 999961 --x-grid 2,100,12345,1e5,1e6 --format markdown":
-        "833182ded2ed28b19fc7c995e2b2b934c004494fef04761f3777a87513410ca1",
-    "verify --disc 999961 --x-grid 2,100,12345,1e5,1e6 --format csv":
-        "7760666af91dbded72e1e3bb9956fd331888bc1992ed1596f49c29b7b365caf1",
-    "verify --disc 999961 --x-grid 2,100,12345,1e5,1e6 --format jsonl":
-        "83af1b60aa6d4f09de5b4be65ddd933bcae0c430a33484a1b2bc52443d7cad28",
-    "verify --disc 1000001 --x-grid 2,100,12345,1e5,1e6 --format markdown":
-        "826a9c045cb2463e8b262fce88651f1687eeef3b7bd27f648da3af376efc5622",
-    "verify --disc 1000001 --x-grid 2,100,12345,1e5,1e6 --format csv":
-        "3b17039f89880a9f45fdc9328d044b79283859fde36624265ccb6e2f41e05969",
-    "verify --disc 1000001 --x-grid 2,100,12345,1e5,1e6 --format jsonl":
-        "91a3f81f8a436b35204475b600b262dac8fd9753e71143de65a097e74374a484",
-    "verify --disc 1000005 --x-grid 2,100,12345,1e5,1e6 --format markdown":
-        "19f35ea3e4fda148222ed86fd42b36ff94be9c438a268d1ea341399f7e4e6183",
-    "verify --disc 1000005 --x-grid 2,100,12345,1e5,1e6 --format csv":
-        "510e787c9e0dba10d074c4ec5f3cbf3335a44d3149b7619a883cea08e569ba88",
-    "verify --disc 1000005 --x-grid 2,100,12345,1e5,1e6 --format jsonl":
-        "4c98caf2d40189d8f4a9876531ab06743aebb153b57edd7058108ee62a3dc53b",
-    "verify --disc -1000003 --x-grid 2,100,12345,1e5,1e6 --format markdown":
-        "039f86a789b35423b82f69081bbfdaf7e97edf37598115de62a24764fd0b1a66",
-    "verify --disc -1000003 --x-grid 2,100,12345,1e5,1e6 --format csv":
-        "000d449fff2d5039cac94e836cf42d09bae6e4227c8aa0a128e969f9322292e4",
-    "verify --disc -1000003 --x-grid 2,100,12345,1e5,1e6 --format jsonl":
-        "7f7fb026396e88969ec1a013a0b2f9bd97897dee7a15b6758dcafccd629ebcb4",
     "verify --disc 1000012 --x-grid 2,100,12345,1e5,1e6 --format markdown":
         "2eaf8f9f45eb4f70d8786575e21cfe5f61b0b6cd494f48ea7bd7da7b0fd97938",
     "verify --disc 1000012 --x-grid 2,100,12345,1e5,1e6 --format csv":

@@ -384,8 +384,7 @@ class TestPrimeInfrastructure:
         assert not is_prime(2**31)
         # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
         assert not is_prime(3215031751)
-        # the least strong pseudoprime to the bases 2..17 (and 19): the
-        # seven bases decide every n below it, and it takes all twelve
+        # the least strong pseudoprime to the bases 2..17 (and 19)
         assert not is_prime(341_550_071_728_321)
         assert is_prime(verifier.MAX_SIEVE_LIMIT - 21)  # the largest prime below the sieve cap
 
