@@ -14,9 +14,13 @@ TuningConfig and its ell's next to the E/D/C constants, so every consumer
 (bound evaluation, the tables, the corollaries, the CLI's params) takes
 that record alone.  _finals_cached keeps one record per table row and
 beta_0 state for the process, which warm bound evaluation reads.
+_bound_report states each of the four bound forms once: its threshold on
+log x, its details and, on the branch in use, a coefficient and a decay
+rate.  Each branch's published b0 lives in _PUBLISHED_B0, the default of
+classical_constants.
 
-Each of the eight published tables is one spec in _TABLES (its printed
-rows, its row-level cells and, for tables 4-8, one block of cells per
+Each of the eight published tables is one spec in _TABLES (its title,
+printed rows, row-level cells and, for tables 4-8, one block of cells per
 beta_0 state), and generate_table builds every one in the same loop.
 
 The smoothing, bessel and invariants functions and ell6/ell7 keep general
@@ -128,6 +132,9 @@ class ClassicalBranch(enum.Enum):
 
     REFINED = "refined"  # (A, B) = (3/4, 3/4), exponent 1/sqrt(R2) - 1/(2 sqrt(alpha))
     FULL = "full"        # (A, B) = (2, 1),     exponent 1/sqrt(R2) - 1/sqrt(alpha)
+
+
+_PUBLISHED_B0 = {ClassicalBranch.FULL: B0_FULL, ClassicalBranch.REFINED: B0_REFINED}
 
 
 @dataclass(frozen=True)
@@ -249,12 +256,6 @@ def _N0_at(cfg: TuningConfig, delta0: float) -> float:
     return curly_N0(c, compute_ells(c).Y0)
 
 
-def _delta0_ceiling(cfg: TuningConfig) -> float:
-    # the analytic ceiling 1 - sqrt(2)/x0 rounds to 1.0 at table-sized x0;
-    # the smoothing machinery needs delta0 < 1 strictly
-    return min(1.0 - math.sqrt(2.0) * math.exp(-cfg.x0_log), 1.0 - 1e-9)
-
-
 def _delta0_interval(n0: int, beta0_present: bool) -> tuple[float, float]:
     """Admissible delta0 interval (d_lo, d_hi) of a row in 2..20, on which
     n0 <= N_0 < n0 + 1.
@@ -263,7 +264,7 @@ def _delta0_interval(n0: int, beta0_present: bool) -> tuple[float, float]:
     d_lo is nudged inside the interval to keep N_0 >= n0 strictly.
     """
     base = standard_config(n0, beta0_present)
-    ceiling = _delta0_ceiling(base)
+    ceiling = min(base.delta0_ceiling, 1.0 - 1e-9)  # smoothing needs delta0 < 1 strictly
     top = _N0_at(base, ceiling)
     if top < n0:
         raise SearchError(f"no delta0 reaches N0 = {n0} on this row")
@@ -291,7 +292,7 @@ def choose_delta0(n0: int, beta0_present: bool, mode: Delta0Mode = Delta0Mode.SE
     with the same checks, by standard_config(n0, beta0_present).with_delta0.
     """
     if n0 >= 21:
-        return min(_delta0_ceiling(standard_config(n0, beta0_present)), 0.99999)
+        return min(standard_config(n0, beta0_present).delta0_ceiling, 0.99999)
     return _delta0_interval(n0, beta0_present)[0]
 
 
@@ -326,10 +327,13 @@ def classical_a0_grid(C: float, A: float, B: float, D: float, b0: float, c0: flo
     return C * M ** (2.0 * A / 3.0) / c0 ** (A / 3.0) * math.exp(float(np.max(vals)))
 
 
-def classical_constants(f: FinalConstants, branch: ClassicalBranch, b0: float) -> ClassicalConstants:
+def classical_constants(f: FinalConstants, branch: ClassicalBranch,
+                        b0: float | None = None) -> ClassicalConstants:
     """Absolute constants (a0, b0, c0) of the configuration behind f, with
     E_C(x) <= x^(beta0-1)/beta0 + a0 e^(-b0 sqrt(log x/n_L)) for
-    log x >= c0 n_L (log d_L)^2."""
+    log x >= c0 n_L (log d_L)^2; b0 defaults to the branch's published one."""
+    if b0 is None:
+        b0 = _PUBLISHED_B0[branch]
     cfg = f.cfg
     c0 = cfg.alpha / cfg.row.n0**2
     if branch is ClassicalBranch.REFINED:
@@ -411,63 +415,49 @@ def _decayed(coeff: float, exponent: float) -> float:
 def _bound_report(
     field: FieldParams, log_x: float, beta0_present: bool, form: BoundForm
 ) -> BoundReport:
+    # epsilon = coeff e^(-rate), with rate 0 in the log form; computed early,
+    # the coefficient raises on no input whose threshold computes
     f = _finals_cached(min(field.n_L, 21), beta0_present)
-    cfg = f.cfg
     n = field.n_L
     refined = n <= f.N0
+    root = math.sqrt(log_x / n)
 
     if form is BoundForm.CLASSICAL_ABS:
-        cc = classical_constants(f, ClassicalBranch.FULL, B0_FULL)
+        cc = classical_constants(f, ClassicalBranch.FULL)
         threshold = cc.c0 * n * field.log_dL**2
         details = {"a0": cc.a0, "b0": cc.b0, "c0": cc.c0}
         if refined:
-            rr = classical_constants(f, ClassicalBranch.REFINED, B0_REFINED)
-            details.update({"a0_refined": rr.a0, "b0_refined": rr.b0})
-        applicable = log_x >= threshold
-        eps = None
-        if applicable:
-            if refined:
-                eps = _decayed(details["a0_refined"], B0_REFINED * math.sqrt(log_x / n))
-            else:
-                eps = _decayed(cc.a0, B0_FULL * math.sqrt(log_x / n))
+            cc = classical_constants(f, ClassicalBranch.REFINED)
+            details.update({"a0_refined": cc.a0, "b0_refined": cc.b0})
+        coeff, rate = cc.a0, cc.b0 * root
     else:
-        threshold = cfg.alpha * cfg.m * n * field.log_delta_L**2
-        applicable = log_x >= threshold
-        eps = None
-        root = math.sqrt(log_x / n)
-        if form is BoundForm.EXP:
+        threshold = f.alpha * f.cfg.m * n * field.log_delta_L**2
+        if form is BoundForm.CLASSICAL_NL:
+            details = {"C12": f.C12, "C3": f.C3,
+                       "exp_full": f.exp_coeff_full, "exp_half": f.exp_coeff_half}
+            if refined:
+                coeff, rate = f.C3 * n**0.75 * log_x**0.75, f.exp_coeff_half * root
+            else:
+                coeff, rate = f.C12 * n * n * log_x, f.exp_coeff_full * root
+        else:
             # only exp and log read lambda_L, which overflows for m log Delta_L > 709.78
-            lam = lambda_L(field, cfg.m)
-            details = {"max_E12": f.max_E12, "E3": f.E3, "decay": 1.0 / math.sqrt(R2)}
-            if applicable:
+            lam = lambda_L(field, f.cfg.m)
+            if form is BoundForm.EXP:
+                details = {"max_E12": f.max_E12, "E3": f.E3, "decay": 1.0 / math.sqrt(R2)}
                 rate = root / math.sqrt(R2)
                 if refined:
-                    eps = _decayed(f.E3 * math.sqrt(lam) * math.sqrt(log_x), rate)
+                    coeff = f.E3 * math.sqrt(lam) * math.sqrt(log_x)
                 else:
-                    eps = _decayed(f.max_E12 * lam * math.sqrt(n) * math.sqrt(log_x), rate)
-        elif form is BoundForm.LOG:
-            lam = lambda_L(field, cfg.m)
-            details = {"D12": f.D12, "D3": f.D3, "k": float(f.k)}
-            if applicable:
+                    coeff = f.max_E12 * lam * math.sqrt(n) * math.sqrt(log_x)
+            else:
+                details = {"D12": f.D12, "D3": f.D3, "k": float(f.k)}
+                rate = 0.0
                 if refined:
-                    eps = f.D3 * math.sqrt(lam) * n**1.5 / log_x**f.k
+                    coeff = f.D3 * math.sqrt(lam) * n**1.5 / log_x**f.k
                 else:
-                    eps = f.D12 * lam * n * n / log_x**f.k
-        elif form is BoundForm.CLASSICAL_NL:
-            details = {
-                "C12": f.C12,
-                "C3": f.C3,
-                "exp_full": f.exp_coeff_full,
-                "exp_half": f.exp_coeff_half,
-            }
-            if applicable:
-                if refined:
-                    eps = _decayed(f.C3 * n**0.75 * log_x**0.75, f.exp_coeff_half * root)
-                else:
-                    eps = _decayed(f.C12 * n * n * log_x, f.exp_coeff_full * root)
-        else:  # pragma: no cover
-            raise DomainError(f"unknown bound form {form}")
+                    coeff = f.D12 * lam * n * n / log_x**f.k
 
+    applicable = log_x >= threshold
     return BoundReport(
         form=form,
         n_L=n,
@@ -475,7 +465,7 @@ def _bound_report(
         beta0_present=beta0_present,
         threshold=threshold,
         applicable=applicable,
-        epsilon=eps,
+        epsilon=_decayed(coeff, rate) if applicable else None,
         refined_used=refined and applicable,
         exceptional_term="x^(beta0-1)/beta0" if beta0_present else None,
         details=details,
@@ -485,20 +475,6 @@ def _bound_report(
 # --------------------------------------------------------------------------
 # table regeneration
 # --------------------------------------------------------------------------
-
-TABLE_IDS = (1, 2, 3, 4, 5, 6, 7, 8)
-
-_TABLE_TITLES = {
-    1: "Zero-counting coefficients alpha0(T) and alpha0'(T)",
-    2: "Kernel threshold pairs (omega0, t0)",
-    3: "Minimal discriminants and Minkowski coefficients",
-    4: "Main error-term constants (E-family)",
-    5: "Log-form constants (D-family, k = 1)",
-    6: "Classical-shape constants (C-family)",
-    7: "Absolute constants (a0, b0, c0), refined per degree",
-    8: "Absolute constants (a0, c0) for all degrees >= n0",
-}
-
 
 @dataclass(frozen=True)
 class CellDiff:
@@ -570,10 +546,8 @@ def _table7_range_rows(use: tuple[bool, ...]) -> list[tuple[str, list, list]]:
     for label, present, a0_s, b0_s, c0_s, branch_s in pv.TABLE7_RANGE:
         if present not in use:
             continue
-        branch = ClassicalBranch(branch_s)
-        b0 = B0_REFINED if branch is ClassicalBranch.REFINED else B0_FULL
-        cc = classical_constants(_finals_cached(21, present), branch, b0)
-        crow: list[float] = [math.nan] * (len(use) * 3)
+        cc = classical_constants(_finals_cached(21, present), ClassicalBranch(branch_s))
+        crow: list[float | None] = [None] * (len(use) * 3)
         prow: list[str | None] = [None] * (len(use) * 3)
         off = use.index(present) * 3
         crow[off:off + 3] = [cc.a0, cc.b0, cc.c0]
@@ -584,12 +558,13 @@ def _table7_range_rows(use: tuple[bool, ...]) -> list[tuple[str, list, list]]:
 
 @dataclass(frozen=True)
 class _TableSpec:
-    """One published table: its printed rows by key, read from
-    reference_values at call time, each split into row-level cells and one
-    block per exceptional-zero state; the computed row-level cells come
+    """One published table: its title and its printed rows by key, read
+    from reference_values at call time, each split into row-level cells and
+    one block per exceptional-zero state; the computed row-level cells come
     from the key or the first state's record (by default none), each
     state's block from that state's record.  No state_cells, no blocks."""
 
+    title: str
     reference: Callable[[], Mapping[Any, tuple]]
     columns: tuple[str, ...]  # the label column, then the row-level columns
     row_cells: Callable[[Any, list[FinalConstants]], tuple] = _record()  # (key, records)
@@ -601,31 +576,38 @@ class _TableSpec:
 
 
 _TABLES = {
-    1: _TableSpec(lambda: pv.TABLE1_ALPHA0,
+    1: _TableSpec("Zero-counting coefficients alpha0(T) and alpha0'(T)", lambda: pv.TABLE1_ALPHA0,
                   ("n0", "alpha0(1/2)", "alpha0(1)", "alpha0(2)", "alpha0'(1)", "alpha0'(2)"),
                   _table1_cells),
-    2: _TableSpec(_table2_reference, ("given", "omega0", "t0"), _table2_cells),
-    3: _TableSpec(lambda: pv.TABLE3_MINKOWSKI, ("n0", "d0", "M"), _table3_cells),
-    4: _TableSpec(lambda: pv.TABLE4, ("n0", "alpha", "log_x0"), _record("alpha", "x0_log"),
-                  _split_tail, ("delta0", "max(E1,E2)", "N0", "E3", "E3~"),
+    2: _TableSpec("Kernel threshold pairs (omega0, t0)", _table2_reference,
+                  ("given", "omega0", "t0"), _table2_cells),
+    3: _TableSpec("Minimal discriminants and Minkowski coefficients", lambda: pv.TABLE3_MINKOWSKI,
+                  ("n0", "d0", "M"), _table3_cells),
+    4: _TableSpec("Main error-term constants (E-family)", lambda: pv.TABLE4,
+                  ("n0", "alpha", "log_x0"), _record("alpha", "x0_log"), _split_tail,
+                  ("delta0", "max(E1,E2)", "N0", "E3", "E3~"),
                   attrgetter("cfg.delta0", "max_E12", "N0", "E3", "E3_tilde")),
-    5: _TableSpec(lambda: pv.TABLE5, ("n0", "alpha"), _record("alpha"),
-                  _split_tail, ("D12", "N0", "D3", "D3~"),
+    5: _TableSpec("Log-form constants (D-family, k = 1)", lambda: pv.TABLE5, ("n0", "alpha"),
+                  _record("alpha"), _split_tail, ("D12", "N0", "D3", "D3~"),
                   attrgetter("D12", "N0", "D3", "D3_tilde")),
-    6: _TableSpec(lambda: pv.TABLE6, ("n0", "alpha", "exp_full", "exp_half"),
-                  _record("alpha", "exp_coeff_full", "exp_coeff_half"),
-                  _split_tail, ("N0", "C12", "C3", "C3~"),
-                  attrgetter("N0", "C12", "C3", "C3_tilde")),
-    7: _TableSpec(lambda: pv.TABLE7_PER_DEGREE, ("n_L",), split=_split_a0,
+    6: _TableSpec("Classical-shape constants (C-family)", lambda: pv.TABLE6,
+                  ("n0", "alpha", "exp_full", "exp_half"),
+                  _record("alpha", "exp_coeff_full", "exp_coeff_half"), _split_tail,
+                  ("N0", "C12", "C3", "C3~"), attrgetter("N0", "C12", "C3", "C3_tilde")),
+    7: _TableSpec("Absolute constants (a0, b0, c0), refined per degree",
+                  lambda: pv.TABLE7_PER_DEGREE, ("n_L",), split=_split_a0,
                   state_columns=("a0", "b0", "c0"),
                   state_cells=lambda f: attrgetter("a0", "b0", "c0")(
-                      classical_constants(f, ClassicalBranch.REFINED, B0_REFINED)),
+                      classical_constants(f, ClassicalBranch.REFINED)),
                   rel_tol=pv.GUARD_TABLES_REL_TOL, extra_rows=_table7_range_rows),
-    8: _TableSpec(lambda: pv.TABLE8, ("n0",), split=_split_a0, state_columns=("a0", "c0"),
+    8: _TableSpec("Absolute constants (a0, c0) for all degrees >= n0", lambda: pv.TABLE8, ("n0",),
+                  split=_split_a0, state_columns=("a0", "c0"),
                   state_cells=lambda f: attrgetter("a0", "c0")(
-                      classical_constants(f, ClassicalBranch.FULL, B0_FULL)),
+                      classical_constants(f, ClassicalBranch.FULL)),
                   rel_tol=pv.GUARD_TABLES_REL_TOL),
 }
+
+TABLE_IDS = tuple(_TABLES)
 
 
 def generate_table(table_id: int, beta0: str = "both") -> Table:
@@ -658,7 +640,7 @@ def generate_table(table_id: int, beta0: str = "both") -> Table:
         rows += spec.extra_rows(use)
 
     state_names = [f"{c} [{'present' if p else 'absent'}]" for p in use for c in spec.state_columns]
-    return Table(table_id, _TABLE_TITLES[table_id], (*spec.columns, *state_names),
+    return Table(table_id, spec.title, (*spec.columns, *state_names),
                  tuple(label for label, _, _ in rows),
                  tuple(tuple(c) for _, c, _ in rows),
                  tuple(tuple(p) for _, _, p in rows), spec.rel_tol)
@@ -673,7 +655,7 @@ def diff_table(table: Table) -> list[CellDiff]:
     out: list[CellDiff] = []
     for label, crow, prow in zip(table.labels, table.computed, table.printed):
         for col, c, p in zip(table.columns[1:], crow, prow):
-            if p is None or c is None or (isinstance(c, float) and math.isnan(c)):
+            if p is None or c is None:
                 continue
             erratum = pv.ERRATA.get((table.table_id, label, col))
             if erratum is not None:
@@ -709,8 +691,8 @@ def corollary_constants() -> dict[str, dict[str, float]]:
     """
     f2 = _finals_cached(2, True)
     worst_exp_half = min(_finals_cached(n0, True).exp_coeff_half for n0 in pv.TABLE6)
-    full2 = classical_constants(f2, ClassicalBranch.FULL, B0_FULL)
-    refined21 = classical_constants(_finals_cached(21, True), ClassicalBranch.REFINED, B0_REFINED)
+    full2 = classical_constants(f2, ClassicalBranch.FULL)
+    refined21 = classical_constants(_finals_cached(21, True), ClassicalBranch.REFINED)
 
     return {
         "exp": {
@@ -729,8 +711,8 @@ def corollary_constants() -> dict[str, dict[str, float]]:
         "absolute": {
             "threshold": float(math.ceil(full2.c0)),
             "a0_general": full2.a0,
-            "b0_general": B0_FULL,
+            "b0_general": full2.b0,
             "a0_refined": refined21.a0,
-            "b0_refined": B0_REFINED,
+            "b0_refined": refined21.b0,
         },
     }

@@ -24,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -43,7 +42,7 @@ BOUND_FORMS = ("exp", "log", "classical-nl", "classical-abs")
 
 
 def _fmt(v: float | None) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
+    if v is None:
         return ""
     return f"{v:.6g}"
 
@@ -93,7 +92,7 @@ def _table_rows(table: Table, published_style: bool) -> list[list[str]]:
     for label, crow, prow in zip(table.labels, table.computed, table.printed):
         cells = []
         for c, p in zip(crow, prow):
-            if published_style and p is not None and c is not None and not math.isnan(c):
+            if published_style and p is not None and c is not None:
                 cells.append(round_up_like(c, p))
             else:
                 cells.append(_fmt(c))

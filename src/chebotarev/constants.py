@@ -53,7 +53,7 @@ class TuningConfig:
 
     m, omega0, t0 and T0 are the fixed values of the module docstring;
     alpha and x0_log follow from the row and are set on construction.
-    delta0 must leave room below the sandwich ceiling 1 - sqrt(2)/x_0.
+    delta0 must not exceed the sandwich ceiling 1 - sqrt(2)/x_0, delta0_ceiling.
     beta0_present says whether the exceptional real zero beta_0 may exist;
     a_beta0 and alpha4 follow from it.
     """
@@ -73,9 +73,12 @@ class TuningConfig:
         alpha = alpha_coefficient(self.row.M, self.t0)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "x0_log", alpha * self.m * self.row.n0 / (self.row.M**2))
-        ceiling = 1.0 - math.sqrt(2.0) * math.exp(-self.x0_log)
-        if not 0.0 < self.delta0 <= ceiling or self.delta0 >= 1.0:
+        if not 0.0 < self.delta0 <= self.delta0_ceiling or self.delta0 >= 1.0:
             raise DomainError(f"delta0={self.delta0} outside (0, 1 - sqrt(2)/x0]")
+
+    @property
+    def delta0_ceiling(self) -> float:
+        return 1.0 - math.sqrt(2.0) * math.exp(-self.x0_log)
 
     @property
     def a_beta0(self) -> int:

@@ -230,6 +230,12 @@ class TestClassicalConstants:
         with pytest.raises(DomainError):
             classical_constants(f, ClassicalBranch.FULL, 0.27)
 
+    def test_b0_defaults_to_the_branchs_published_one(self):
+        f = _finals_cached(21, False)
+        for branch, b0 in ((ClassicalBranch.FULL, 0.23), (ClassicalBranch.REFINED, 0.25)):
+            assert classical_constants(f, branch) == classical_constants(f, branch, b0)
+        assert classical_constants(f, ClassicalBranch.FULL, 0.2).b0 == 0.2
+
     def test_c0_decreasing_across_rows(self):
         vals = [
             classical_constants(
@@ -340,6 +346,47 @@ class TestBoundEval:
         assert rep.epsilon == formulas[form, refined]()
         assert rep.epsilon >= sys.float_info.min
 
+    @staticmethod
+    def _rule(form, field, refined):
+        # the form's threshold and details written out from the FinalConstants
+        # record, each branch's published b0 passed explicitly
+        n = field.n_L
+        f = final_constants(standard_config(min(n, 21), False))
+        if form is BoundForm.CLASSICAL_ABS:
+            full = classical_constants(f, ClassicalBranch.FULL, B0_FULL)
+            details = {"a0": full.a0, "b0": B0_FULL, "c0": f.alpha / f.cfg.row.n0**2}
+            if refined:
+                rr = classical_constants(f, ClassicalBranch.REFINED, B0_REFINED)
+                details.update({"a0_refined": rr.a0, "b0_refined": B0_REFINED})
+            return f.alpha / f.cfg.row.n0**2 * n * field.log_dL**2, details
+        threshold = f.alpha * f.cfg.m * n * (field.log_dL / n) ** 2
+        return threshold, {
+            BoundForm.EXP: {"max_E12": f.max_E12, "E3": f.E3, "decay": 1.0 / math.sqrt(R2)},
+            BoundForm.LOG: {"D12": f.D12, "D3": f.D3, "k": 1.0},
+            BoundForm.CLASSICAL_NL: {"C12": f.C12, "C3": f.C3, "exp_full": f.exp_coeff_full,
+                                     "exp_half": f.exp_coeff_half},
+        }[form]
+
+    @pytest.mark.parametrize("refined", [True, False])
+    @pytest.mark.parametrize("form", list(BoundForm))
+    def test_threshold_and_details_are_the_forms_record(self, form, refined):
+        # the inputs of test_epsilon_is_the_forms_formula, bit for bit
+        n, log_dL, log_x = (5, 20.0, 1e6) if refined else (1000, 2500.0, 5e9)
+        field = FieldParams(n, log_dL)
+        rep = bound_eval(field, log_x, False, form)
+        assert rep.applicable and rep.refined_used is refined
+        assert (rep.threshold, rep.details) == self._rule(form, field, refined)
+
+    @pytest.mark.parametrize("form", list(BoundForm))
+    def test_below_threshold_no_epsilon(self, form):
+        # degree 5 is on the refined branch, but log x = 10 is below every
+        # form's threshold: no epsilon, no branch used, the same rule
+        field = FieldParams(5, 20.0)
+        rep = bound_eval(field, 10.0, False, form)
+        assert not rep.applicable
+        assert rep.epsilon is None and rep.refined_used is False
+        assert (rep.threshold, rep.details) == self._rule(form, field, True)
+
     @pytest.mark.parametrize("form, answers", [
         (BoundForm.CLASSICAL_NL, True), (BoundForm.CLASSICAL_ABS, True),
         (BoundForm.EXP, False), (BoundForm.LOG, False),
@@ -446,7 +493,7 @@ class TestTables:
         def cells(t):
             return {(label, col): (repr(c), p) for label, crow, prow
                     in zip(t.labels, t.computed, t.printed)
-                    for col, c, p in zip(t.columns[1:], crow, prow) if (repr(c), p) != ("nan", None)}
+                    for col, c, p in zip(t.columns[1:], crow, prow) if (repr(c), p) != ("None", None)}
 
         both = generate_table(k, "both")
         for state in ("present", "absent"):
