@@ -154,8 +154,10 @@ class Delta0Mode(enum.Enum):
 def standard_config(n0: int, beta0_present: bool) -> TuningConfig:
     """Standard configuration on a table row (n0 in 2..21), with the
     published per-row delta0."""
-    if not 2 <= n0 <= 21:
+    if n0 not in range(2, 22):
         raise DomainError(f"n0 must be a table row in 2..21, got {n0}")
+    if beta0_present not in (True, False):
+        raise DomainError(f"beta0_present must be True or False, got {beta0_present!r}")
     return TuningConfig(minkowski_lookup(n0), pv.DELTA0[(n0, beta0_present)], beta0_present)
 
 
@@ -167,7 +169,7 @@ def curly_N0(cfg: TuningConfig, Y0: float) -> float:
 
     Strictly increasing in delta0 (directly and through Y0's structure).
     """
-    if Y0 <= 0:
+    if not Y0 > 0:
         raise DomainError(f"Y0 must be positive, got {Y0}")
     m, M = cfg.m, cfg.row.M
     num = cfg.delta0 ** ((m + 1) / 3.0) * M * math.exp(
@@ -187,7 +189,7 @@ def final_constants(cfg: TuningConfig, k: int = 1) -> FinalConstants:
     k <= ((1/M) sqrt(alpha/R2) - 1)/2 for the bracketed factor of the
     log-form bound to be decreasing on the admissible range.
     """
-    if k < 0:
+    if not k >= 0:
         raise DomainError(f"k must be >= 0, got {k}")
     if k > _k_max(cfg):
         raise DomainError(f"k={k} exceeds the admissible maximum {_k_max(cfg):.3f}")

@@ -104,6 +104,8 @@ def bessel_I(n: float, m: float, alpha: float, beta: float, l: float) -> float:
 
 def k2_upper_bound(z: float) -> float:
     """Rosser-Schoenfeld bound on K_2(z, w), uniform in w on [0, sqrt(1/2))."""
+    if not z > 0:
+        raise DomainError(f"z must be positive, got {z}")
     return math.sqrt(math.pi / 2.0) * math.exp(-z) / math.sqrt(z) * (
         1.0 + 15.0 / (8.0 * z) + 105.0 / (128.0 * z * z)
     )
@@ -126,8 +128,8 @@ class BesselArgs:
     def from_parameters(
         cls, m: int, R2_L: float, log_delta_L: float, T: float, log_x: float
     ) -> "BesselArgs":
-        if log_x <= 0 or R2_L <= 0 or T <= 0:
-            raise DomainError("log_x, R2_L and T must be positive")
+        if not (m > 0 and log_x > 0 and R2_L > 0 and T > 0) or math.isnan(log_delta_L):
+            raise DomainError("m, log_x, R2_L and T must be positive, log_delta_L a number")
         z = 2.0 * math.sqrt(m * log_x / R2_L)
         w = math.sqrt(m * R2_L / log_x) * (log_delta_L + math.log(T))
         return cls(z, w)
@@ -152,8 +154,8 @@ class RegimeThreshold:
     def from_parameters(
         cls, m: int, R2_L: float, log_delta_L: float, T: float, log_x: float
     ) -> "RegimeThreshold":
-        if T <= 0:
-            raise DomainError(f"T must be positive, got {T}")
+        if not (T > 0 and R2_L > 0 and m >= 0 and log_x >= 0) or math.isnan(log_delta_L):
+            raise DomainError("T and R2_L must be positive, m and log_x >= 0, log_delta_L a number")
         lg = log_delta_L + math.log(T)
         X = (m + 1.0) * R2_L * lg * lg
         W_log = -log_delta_L + math.sqrt(log_x / (R2_L * (m + 1.0)))

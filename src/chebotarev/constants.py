@@ -188,9 +188,11 @@ def ell6(m: int, M: float, T0: float) -> float:
     ell6 = (M + 1/log T0)/(m pi) + 2 M alpha1/T0
            + (2 alpha1 + M (alpha1/(m+1) + 2 alpha2 + alpha3))/(T0 log T0).
     """
-    if m < 1:
+    if not m >= 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if T0 <= 4:
+    if not M > 0:
+        raise DomainError(f"M must be positive, got {M}")
+    if not T0 > 4:
         raise DomainError(f"T0 must exceed 4, got {T0}")
     lt = math.log(T0)
     return (
@@ -211,13 +213,15 @@ def ell7(m: int, M: float, R2: float, T0: float, omega0: float, x0_log: float, n
     margin ((2m+1)/sqrt(m+1) - 2 sqrt(m)) sqrt((m+1)(1/M + log T0))), and
     the Rosser-Schoenfeld remainder of the K_2 integral.
     """
-    if m < 1:
+    if not m >= 1:
         raise DomainError(f"m must be >= 1, got {m}")
-    if T0 <= 4:
+    if not (M > 0 and R2 > 0 and omega0 > 0):
+        raise DomainError(f"M, R2 and omega0 must be positive, got {M}, {R2}, {omega0}")
+    if not T0 > 4:
         raise DomainError(f"T0 must exceed 4, got {T0}")
-    if x0_log <= 0:
+    if not x0_log > 0:
         raise DomainError(f"x0_log must be positive, got {x0_log}")
-    if n0 < 2:
+    if not n0 >= 2:
         raise DomainError(f"n0 must be >= 2, got {n0}")
     lt = math.log(T0)
     margin = ((2 * m + 1) / math.sqrt(m + 1.0) - 2.0 * math.sqrt(m)) * math.sqrt(

@@ -72,17 +72,23 @@ MINKOWSKI_TABLE: tuple[MinkowskiRow, ...] = (
 _ROW_BY_N0 = {row.n0: row for row in MINKOWSKI_TABLE}
 
 
+def _table_row(n0: int) -> MinkowskiRow:
+    if n0 not in _ROW_BY_N0:
+        raise DomainError(f"degree must be an integer, got {n0}")
+    return _ROW_BY_N0[n0]
+
+
 def minkowski_lookup(n_L: int) -> MinkowskiRow:
     """Return the table row with the largest n_0 <= min(n_L, 21).
 
     For n_L >= 21 the returned row carries d_0 = 10^(n_L), i.e.
     log d_0 = n_L * log(10), with the same coefficient M = 1/log(10).
     """
-    if n_L < 2:
+    if not n_L >= 2:
         raise DomainError(f"degree must be >= 2, got {n_L} (rational base field only)")
     if n_L >= 21:
         return MinkowskiRow(21, n_L * math.log(10), _ROW_BY_N0[21].M)
-    return _ROW_BY_N0[n_L]
+    return _table_row(n_L)
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,7 @@ class FieldParams:
     log_dL: float
 
     def __post_init__(self) -> None:
-        if self.n_L < 2:
+        if not self.n_L >= 2:
             raise DomainError(f"degree must be >= 2, got {self.n_L}")
         if not math.isfinite(self.log_dL):
             raise DomainError(f"log d_L must be finite, got {self.log_dL}")
@@ -110,7 +116,7 @@ class FieldParams:
             )
         # M is the same for every degree >= 21; only the top row's log d0,
         # unused here, grows with the degree (and overflows past 1e307)
-        M = _ROW_BY_N0[min(self.n_L, 21)].M
+        M = _table_row(min(self.n_L, 21)).M
         # the printed (d0, M) rows are independently rounded, so the exact
         # minima overshoot n0 = M log d0 by up to ~1.2e-6 relative
         if self.n_L > M * self.log_dL * (1 + 2e-6):
@@ -141,7 +147,7 @@ def lambda_L(field: FieldParams, m: int) -> float:
     This multiplies the exponentially decaying error term; m is the
     smoothing order.  Monotone non-decreasing in n_L, log d_L and m.
     """
-    if m < 1:
+    if not m >= 1:
         raise DomainError(f"smoothing order m must be >= 1, got {m}")
     ld = field.log_delta_L
     n = field.n_L
@@ -154,8 +160,8 @@ def lambda_0(n0: int, M: float) -> float:
     Obtained from lambda_L by replacing log Delta_L with its row minimum
     1/M; any field on the row (n_0, d_0, M) satisfies lambda_L >= lambda_0.
     """
-    if n0 < 2:
+    if not n0 >= 2:
         raise DomainError(f"n0 must be >= 2, got {n0}")
-    if M <= 0:
-        raise DomainError(f"M must be positive, got {M}")
+    if not 0 < M < math.inf:
+        raise DomainError(f"M must be positive and finite, got {M}")
     return max(n0 * n0 / (M * M), math.sqrt(n0) * math.exp(1.0 / M) / M)

@@ -53,8 +53,8 @@ class SmoothingParams:
     def __post_init__(self) -> None:
         if not 0 < self.delta < 1:
             raise DomainError(f"delta must lie in (0,1), got {self.delta}")
-        if self.m < 0:
-            raise DomainError(f"m must be >= 0, got {self.m}")
+        if not self.m >= 1:
+            raise DomainError("the Rosser ramp requires m >= 1")
 
     @property
     def alpha(self) -> float:
@@ -66,14 +66,8 @@ class SmoothingParams:
         return self.delta + 2.0 * (self.alpha - 1.0)
 
 
-def _require_rosser_order(p: SmoothingParams) -> None:
-    if p.m < 1:
-        raise DomainError("the Rosser ramp requires m >= 1")
-
-
 def weight_g(x: float, p: SmoothingParams) -> float:
     """The ramp profile g on [0,1]: g(x) = h(alpha + delta*x)."""
-    _require_rosser_order(p)
     return weight_h(p.alpha + p.delta * x, p)
 
 
@@ -85,8 +79,7 @@ def weight_h(t: float, p: SmoothingParams) -> float:
     1_(0,1); values on that measure-zero boundary set do not affect any
     integral, and the plateau/support values are pinned explicitly.
     """
-    _require_rosser_order(p)
-    if t < 0:
+    if not t >= 0:
         raise DomainError(f"t must be >= 0, got {t}")
     alpha, delta, m = p.alpha, p.delta, p.m
     if t <= alpha:
@@ -109,8 +102,9 @@ def mellin_H(s: complex, p: SmoothingParams) -> complex:
     one genuine pole; within 1e-8 of s = -1,...,-m the removable
     singularity is resolved by a first-order (l'Hopital) expansion.
     """
-    _require_rosser_order(p)
     s = complex(s)
+    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+        raise DomainError(f"s must be finite, got {s}")
     if abs(s) < _REMOVABLE_EPS:
         raise PoleError("H(s) has a pole at s = 0")
     m, c = p.m, p.ramp_scale
@@ -144,7 +138,7 @@ def m_bound(delta: float, m: int) -> float:
     """
     if not 0 < delta < 1:
         raise DomainError(f"delta must lie in (0,1), got {delta}")
-    if m < 0:
+    if not m >= 0:
         raise DomainError(f"m must be >= 0, got {m}")
     if m == 0:
         return 1.0 + delta / 2.0

@@ -87,8 +87,8 @@ def c123(a: float, eps: float, T: float) -> tuple[float, float, float]:
         c2 = c1 log(2 + eps + |T|) + 2 c1 (1/eps + 539/268),
         c3 = 2 c1 ((1+eps)/sqrt((1+eps)^2+T^2) + eps/sqrt(eps^2+T^2)).
     """
-    if a <= 0 or eps <= 0:
-        raise DomainError(f"need a > 0 and eps > 0, got a={a}, eps={eps}")
+    if not (a > 0 and 0 < eps < math.inf) or math.isnan(T):
+        raise DomainError(f"need a > 0, finite eps > 0 and a number T, got a={a}, eps={eps}, T={T}")
     one = 1.0 + eps
     c1 = (one * one + a * a) / (2.0 * eps)
     c2 = c1 * math.log(2.0 + eps + abs(T)) + 2.0 * c1 * (1.0 / eps + 539.0 / 268.0)
@@ -206,7 +206,7 @@ def alpha0_prime(T: float, row: MinkowskiRow) -> float:
     T/pi + alpha1 + M (T/pi log(T/(2 pi e)) + alpha1 log T + alpha2)
     + alpha3/log d_0, valid for T >= 1.
     """
-    if T < 1:
+    if not T >= 1:
         raise DomainError(f"T must be >= 1, got {T}")
     return (
         T / math.pi
@@ -242,7 +242,7 @@ def P_E_L(T: float, field: FieldParams) -> tuple[float, float]:
 
     so that |N_L(T) - P_L(T)| <= E_L(T) for T >= 1.
     """
-    if T < 1:
+    if not T >= 1:
         raise DomainError(f"T must be >= 1, got {T}")
     P = (T / math.pi) * (field.log_dL + field.n_L * math.log(T / (2 * math.pi * math.e)))
     E = ALPHA1 * (field.log_dL + field.n_L * math.log(T)) + ALPHA2 * field.n_L + ALPHA3
@@ -270,7 +270,9 @@ def Q_kernel(u: float, t: float, field: FieldParams) -> float:
 
 
 def Q_kernel_partial_u(u: float, field: FieldParams) -> float:
-    """dQ/du (u, t) = (n/pi) log(Delta u/(2 pi)) + alpha1 n / u."""
+    """dQ/du (u, t) = (n/pi) log(Delta u/(2 pi)) + alpha1 n / u, for u > 0."""
+    if not u > 0:
+        raise DomainError(f"u must be positive, got {u}")
     n = field.n_L
     return (n / math.pi) * (field.log_delta_L + math.log(u) - math.log(2 * math.pi)) + ALPHA1 * n / u
 
@@ -282,7 +284,7 @@ def solve_omega0(t0: float) -> float:
 
     strictly decreasing in t0 where log(sqrt(3) t0) > 0.
     """
-    if t0 <= 1 / math.sqrt(3):
+    if not t0 > 1 / math.sqrt(3):
         raise DomainError(f"t0 must exceed 1/sqrt(3), got {t0}")
     return (math.pi / t0) * (2 * ALPHA1 + (2 * ALPHA2 + ALPHA3) / math.log(math.sqrt(3) * t0))
 
@@ -308,11 +310,9 @@ def solve_t0(omega0: float) -> float:
     """Invert solve_omega0: smallest t0 with Q(u,t) < omega0 (u n/pi) log(Delta u)
     for all u >= t >= t0.  Bisection on (1, 1e9]; the profile is strictly
     decreasing there."""
-    if omega0 < 1:
-        raise DomainError(f"omega0 must be >= 1, got {omega0}")
-    lo, hi = 1.0, 1e9
     f = lambda t: solve_omega0(t) - omega0
-    if not (f(lo) > 0 > f(hi)):
-        raise NumericError(f"bisection bracket failed for omega0={omega0}")
-    lo, hi = _bisect(lambda t: f(t) > 0, lo, hi)
+    # f(1e9) < 0 for every omega0 >= 1, so f(1) > 0 is the whole bracket check
+    if not (omega0 >= 1 and f(1.0) > 0):
+        raise DomainError(f"omega0 must lie in [1, {solve_omega0(1.0)}), got {omega0}")
+    lo, hi = _bisect(lambda t: f(t) > 0, 1.0, 1e9)
     return 0.5 * (lo + hi)

@@ -97,6 +97,24 @@ class TestTablesCommand:
         assert "MISMATCH" in err
 
 
+# bound inputs and whether epsilon is a positive number there or null
+EDGE_BOUNDS = [
+    *((["--nL=5", "--dL=1e6", "--logx=1e5", f"--form={f}"], True) for f in cli.BOUND_FORMS),
+    # log Delta_L = 750: exp and log overflow there, the classical forms answer
+    *((["--nL=2", "--log-dL=1500", "--logx=1e10", f"--form={f}"], True)
+      for f in ("classical-nl", "classical-abs")),
+    # an applicable epsilon whose decay factor is below the normal floats
+    (["--nL=2", "--log-dL=100", "--logx=1.46e7", "--form=exp"], True),
+    (["--nL=2", "--dL=5", "--logx=1e9", "--form=classical-abs"], True),
+    # every form on the general branch (degree 1000 is above every N0),
+    # and below every form's threshold
+    *((["--nL=1000", "--log-dL=2500", "--logx=5e9", f"--form={f}"], True)
+      for f in cli.BOUND_FORMS),
+    *((["--nL=1000", "--log-dL=2500", "--logx=10", f"--form={f}"], False)
+      for f in cli.BOUND_FORMS),
+]
+
+
 class TestBoundCommand:
     def test_applicable_case(self, capsys):
         code, out, _ = run(
@@ -148,6 +166,14 @@ class TestBoundCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, applicable", EDGE_BOUNDS, ids=[
+        "-".join(a.split("=")[1] for a in argv) for argv, _ in EDGE_BOUNDS])
+    def test_jsonl_epsilon_positive_or_null(self, argv, applicable):
+        code, out = _assert_clean_exit(["bound", *argv, "--format=jsonl"])
+        assert code == 0
+        eps = json.loads(out)["epsilon"]
+        assert eps > 0 if applicable else eps is None, eps
 
 
 class TestVerifyCommand:
@@ -221,6 +247,7 @@ class TestVerifyCommand:
         ["--x-grid", ","],
         ["--x-grid", "1e3,nan"],
         ["--x", "20", "--sieve-limit", "-5"],
+        ["--x", "2e9"],  # above the default sieve limit 10^9
     ])
     def test_bad_input_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, "verify", "--disc", "5", *argv)
@@ -368,7 +395,8 @@ def tables_argv(draw):
 
 
 def _assert_clean_exit(argv):
-    """Exit 0 or 2, no traceback or RuntimeWarning, strict jsonl on success."""
+    """Exit 0 or 2, no traceback or RuntimeWarning, strict jsonl on success;
+    returns the exit code and stdout."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -385,7 +413,7 @@ def _assert_clean_exit(argv):
     elif "--format=jsonl" in argv:
         for line in out.getvalue().splitlines():
             json.loads(line, parse_constant=_reject_constant)
-    return code
+    return code, out.getvalue()
 
 
 class TestFuzzArgv:
@@ -409,7 +437,7 @@ class TestFuzzArgv:
 @pytest.mark.parametrize("target", ["missing-parent", "directory"])
 def test_unwritable_out_is_usage_error(tmp_path, argv, target):
     out = tmp_path / "missing" / "out.txt" if target == "missing-parent" else tmp_path
-    assert _assert_clean_exit(argv + [f"--out={out}"]) == 2
+    assert _assert_clean_exit(argv + [f"--out={out}"])[0] == 2
     assert list(tmp_path.iterdir()) == []
 
 

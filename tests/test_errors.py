@@ -1,0 +1,98 @@
+"""Bad library arguments raise DomainError: no NaN, no silent finite answer,
+no ValueError, ZeroDivisionError, NumericError or KeyError from inside."""
+
+import math
+
+import pytest
+
+from chebotarev import (
+    BesselArgs,
+    DomainError,
+    FieldParams,
+    P_E_L,
+    Q_kernel_partial_u,
+    RegimeThreshold,
+    SmoothingParams,
+    alpha0_prime,
+    c123,
+    curly_N0,
+    ell6,
+    ell7,
+    final_constants,
+    k2_upper_bound,
+    lambda_0,
+    lambda_L,
+    m_bound,
+    mellin_H,
+    minkowski_lookup,
+    solve_omega0,
+    solve_t0,
+    standard_config,
+    weight_g,
+    weight_h,
+)
+
+nan, inf = math.nan, math.inf
+ROW = minkowski_lookup(2)
+FIELD = FieldParams(2, 5.0)
+P = SmoothingParams(1, 0.5)
+ELL7 = dict(m=1, M=1.82, R2=12.2411, T0=40.0, omega0=1.0, x0_log=1e4, n0=2)
+REGIME = dict(m=1, R2_L=24.5, log_delta_L=0.8, T=40.0, log_x=1e6)
+
+
+def _cases():
+    yield "alpha0_prime", alpha0_prime, (nan, ROW)
+    yield "P_E_L", P_E_L, (nan, FIELD)
+    yield "solve_omega0", solve_omega0, (nan,)
+    yield "lambda_0-n0", lambda_0, (nan, 1.0)
+    yield "lambda_0-M", lambda_0, (2, nan)
+    yield "lambda_0-M-inf", lambda_0, (2, inf)  # was 0.0
+    yield "c123-a", c123, (nan, 1.0, 0.0)
+    yield "c123-eps", c123, (1.0, nan, 0.0)
+    yield "c123-T", c123, (1.0, 1.0, nan)
+    yield "c123-eps-inf", c123, (1.0, inf, 0.0)
+    yield "curly_N0", curly_N0, (standard_config(2, True), nan)
+    yield "final_constants-k", final_constants, (standard_config(2, True), nan)
+    for u in (nan, 0.0, -1.0):
+        yield f"Q_kernel_partial_u-{u}", Q_kernel_partial_u, (u, FIELD)
+    for z in (nan, 0.0, -1.0):
+        yield f"k2_upper_bound-{z}", k2_upper_bound, (z,)
+    yield "ell6-m", ell6, (nan, 1.82, 40.0)
+    yield "ell6-M", ell6, (1, nan, 40.0)
+    yield "ell6-M-negative", ell6, (1, -1.0, 40.0)  # was negative
+    yield "ell6-T0", ell6, (1, 1.82, nan)
+    for key in ELL7:
+        yield f"ell7-{key}", ell7, {**ELL7, key: nan}
+    for key in ("M", "R2"):
+        yield f"ell7-{key}-zero", ell7, {**ELL7, key: 0.0}
+    for s in (nan, complex(1.0, nan), inf, -inf, complex(1.0, inf)):
+        yield f"mellin_H-{s}", mellin_H, (s, P)
+    for key in REGIME:
+        yield f"BesselArgs-{key}", BesselArgs.from_parameters, {**REGIME, key: nan}
+        yield f"RegimeThreshold-{key}", RegimeThreshold.from_parameters, {**REGIME, key: nan}
+    yield "BesselArgs-m-negative", BesselArgs.from_parameters, {**REGIME, "m": -1}
+    for key, value in (("m", -1), ("R2_L", 0.0), ("log_x", -1.0)):
+        yield f"RegimeThreshold-{key}-{value}", RegimeThreshold.from_parameters, {**REGIME, key: value}
+    yield "weight_h", weight_h, (nan, P)  # was 0.0
+    yield "weight_g", weight_g, (nan, P)  # was 0.0
+    yield "lambda_L", lambda_L, (FIELD, nan)  # was 25.0
+    yield "solve_t0-nan", solve_t0, (nan,)
+    yield "solve_t0-inf", solve_t0, (inf,)
+    yield "solve_t0-no-t0-above-1", solve_t0, (1000.0,)
+    yield "minkowski_lookup-2.5", minkowski_lookup, (2.5,)
+    yield "minkowski_lookup-nan", minkowski_lookup, (nan,)
+    yield "standard_config-n0", standard_config, (2.5, True)
+    yield "standard_config-beta0", standard_config, (3, "yes")
+    yield "FieldParams-2.5", FieldParams, (2.5, 5.0)
+    yield "FieldParams-nan", FieldParams, (nan, 5.0)
+    yield "m_bound", m_bound, (0.5, nan)
+    yield "SmoothingParams", SmoothingParams, (nan, 0.5)
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("call, args", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_bad_argument_is_domain_error(call, args):
+    with pytest.raises(DomainError):
+        call(**args) if isinstance(args, dict) else call(*args)
