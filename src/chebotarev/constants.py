@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
 from .errors import DomainError
-from .invariants import MinkowskiRow
+from .invariants import MinkowskiRow, _require_degree
 from .smoothing import m_bound
 from .zeros import ALPHA1, ALPHA2, ALPHA3, R1, R2, alpha0, alpha0_prime
 
@@ -221,8 +221,7 @@ def ell7(m: int, M: float, R2: float, T0: float, omega0: float, x0_log: float, n
         raise DomainError(f"T0 must exceed 4, got {T0}")
     if not x0_log > 0:
         raise DomainError(f"x0_log must be positive, got {x0_log}")
-    if not n0 >= 2:
-        raise DomainError(f"n0 must be >= 2, got {n0}")
+    _require_degree(n0)
     lt = math.log(T0)
     margin = ((2 * m + 1) / math.sqrt(m + 1.0) - 2.0 * math.sqrt(m)) * math.sqrt(
         (m + 1.0) * (1.0 / M + lt)

@@ -16,6 +16,7 @@ be smoothed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -72,10 +73,15 @@ MINKOWSKI_TABLE: tuple[MinkowskiRow, ...] = (
 _ROW_BY_N0 = {row.n0: row for row in MINKOWSKI_TABLE}
 
 
-def _table_row(n0: int) -> MinkowskiRow:
-    if n0 not in _ROW_BY_N0:
-        raise DomainError(f"degree must be an integer, got {n0}")
-    return _ROW_BY_N0[n0]
+# the largest degree whose top-row log d0 = n_L log 10 is a double
+_MAX_DEGREE = sys.float_info.max / math.log(10)
+
+
+def _require_degree(n: int) -> None:
+    """The one rule for a degree: an integer >= 2, integral floats such as
+    2.0 included, whose top-row log d0 = n log 10 is finite."""
+    if not (2 <= n <= _MAX_DEGREE and n % 1 == 0):
+        raise DomainError(f"degree must be an integer from 2 to {_MAX_DEGREE:.4g}, got {n}")
 
 
 def minkowski_lookup(n_L: int) -> MinkowskiRow:
@@ -84,11 +90,10 @@ def minkowski_lookup(n_L: int) -> MinkowskiRow:
     For n_L >= 21 the returned row carries d_0 = 10^(n_L), i.e.
     log d_0 = n_L * log(10), with the same coefficient M = 1/log(10).
     """
-    if not n_L >= 2:
-        raise DomainError(f"degree must be >= 2, got {n_L} (rational base field only)")
+    _require_degree(n_L)
     if n_L >= 21:
         return MinkowskiRow(21, n_L * math.log(10), _ROW_BY_N0[21].M)
-    return _table_row(n_L)
+    return _ROW_BY_N0[n_L]
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,7 @@ class FieldParams:
     log_dL: float
 
     def __post_init__(self) -> None:
-        if not self.n_L >= 2:
-            raise DomainError(f"degree must be >= 2, got {self.n_L}")
+        _require_degree(self.n_L)
         if not math.isfinite(self.log_dL):
             raise DomainError(f"log d_L must be finite, got {self.log_dL}")
         if self.log_dL < math.log(3) - 1e-12:
@@ -115,8 +119,8 @@ class FieldParams:
                 "field has a smaller discriminant"
             )
         # M is the same for every degree >= 21; only the top row's log d0,
-        # unused here, grows with the degree (and overflows past 1e307)
-        M = _table_row(min(self.n_L, 21)).M
+        # unused here, grows with the degree
+        M = _ROW_BY_N0[min(self.n_L, 21)].M
         # the printed (d0, M) rows are independently rounded, so the exact
         # minima overshoot n0 = M log d0 by up to ~1.2e-6 relative
         if self.n_L > M * self.log_dL * (1 + 2e-6):
@@ -160,8 +164,13 @@ def lambda_0(n0: int, M: float) -> float:
     Obtained from lambda_L by replacing log Delta_L with its row minimum
     1/M; any field on the row (n_0, d_0, M) satisfies lambda_L >= lambda_0.
     """
-    if not n0 >= 2:
-        raise DomainError(f"n0 must be >= 2, got {n0}")
+    _require_degree(n0)
     if not 0 < M < math.inf:
         raise DomainError(f"M must be positive and finite, got {M}")
-    return max(n0 * n0 / (M * M), math.sqrt(n0) * math.exp(1.0 / M) / M)
+    try:
+        lam = max(n0 * n0 / (M * M), math.sqrt(n0) * math.exp(1.0 / M) / M)
+    except (OverflowError, ZeroDivisionError):  # e^(1/M) or 1/M^2 past the doubles
+        lam = math.inf
+    if lam == math.inf:
+        raise DomainError(f"lambda_0 overflows double precision at n0={n0}, M={M}")
+    return lam

@@ -142,4 +142,10 @@ def m_bound(delta: float, m: int) -> float:
         raise DomainError(f"m must be >= 0, got {m}")
     if m == 0:
         return 1.0 + delta / 2.0
-    return (m * ((1.0 + delta / m) ** (m + 1) + 1.0)) ** m
+    try:
+        bound = (m * ((1.0 + delta / m) ** (m + 1) + 1.0)) ** m
+    except OverflowError:
+        bound = math.inf
+    if bound == math.inf:
+        raise DomainError(f"M(delta, m) overflows double precision at delta={delta}, m={m}")
+    return bound

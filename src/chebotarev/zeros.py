@@ -22,10 +22,10 @@ alpha4 and a_beta0, are properties of constants.TuningConfig.
 
 Everything here is a pure function of its arguments.  The one-dimensional
 eps-minimization runs on a fixed 100 000-point geometric eps grid, but no
-call builds that grid: alpha0 narrows an index range in rounds of 513
-evenly spaced points, then reads every point of the last range, about
-900 points in all, each computed by numpy's own geomspace formula and
-freed on return.
+call builds that grid: alpha0 bisects over the grid indices, reading about
+40 points in all, each computed by numpy's own geomspace formula, one
+numpy power call per probe, and freed on return.  Every value of the
+objective comes from c123.
 numpy loads with the first alpha0 call; importing this module loads none.
 alpha0 memoizes its result: it depends only on T and the row, and one
 table or one delta0 bisection asks for the same few values many times.
@@ -34,6 +34,7 @@ table or one delta0 bisection asks for the same few values many times.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -96,18 +97,6 @@ def c123(a: float, eps: float, T: float) -> tuple[float, float, float]:
     return c1, c2, c3
 
 
-def _count_bound_vec(T: float, eps: np.ndarray, M: float, log_d0: float) -> np.ndarray:
-    """B(T, eps) = c1 + c2 M + c3/log d0, (c1, c2, c3) = c123(T, eps, 0.0),
-    at an array of eps; summing c123 over characters, N_L(T) <= B log d_L."""
-    import numpy as np
-
-    one = 1.0 + eps
-    c1 = (one * one + T * T) / (2.0 * eps)
-    c2 = c1 * np.log(2.0 + eps) + 2.0 * c1 * (1.0 / eps + 539.0 / 268.0)
-    c3 = 4.0 * c1  # both square roots collapse at window center 0
-    return c1 + c2 * M + c3 / log_d0
-
-
 _GOLDEN_TOL = 1e-12  # relative width at which _golden_min stops
 
 
@@ -133,9 +122,6 @@ def _golden_min(f, lo: float, hi: float) -> float:
 
 _EPS_LO, _EPS_HI = 1e-3, 50.0
 _GRID_SIZE = 100_000
-# intervals a narrowing round samples: any _FAN >= 3 narrows (2 would not
-# when the middle sample wins); 512 needs one round before the last
-_FAN = 512
 
 
 def _eps_points(idx) -> np.ndarray:
@@ -158,39 +144,25 @@ def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
     # Guarded 1-D minimization: the argmin of B(T, .) over the eps grid,
     # refined by golden section.  B is unimodal on [1e-3, 50]
     # (tests/test_zeros.py checks it on the full grid), so its grid argmin
-    # lies between the two sampled neighbours of a sampled argmin.  Each
-    # round samples _FAN + 1 evenly spaced indices of [lo, hi] and narrows
-    # to those neighbours.  The last round evaluates every index of
-    # [lo - 2, hi + 2], clamped to the grid: it finds the argmin i, with the
-    # same vals[i], bit for bit, as evaluating all 100 000 points, and holds
-    # the golden-section bracket i - 2 .. i + 2.  B grows like 1/eps^2 at the
-    # small end, so overflow shows first at grid index 0, which the first
-    # round holds.
-    import numpy as np
-
-    lo, hi = 0, _GRID_SIZE - 1
-    while True:
-        last = hi - lo <= _FAN
-        if last:
-            idx = np.arange(max(0, lo - 2), min(_GRID_SIZE, hi + 3))
-        else:
-            idx = lo + np.arange(_FAN + 1) * (hi - lo) // _FAN
-        pts = _eps_points(idx)
-        with np.errstate(over="ignore"):  # reported once, by the check below
-            vals = _count_bound_vec(T, pts, M, log_d0)
-        if not np.all(np.isfinite(vals)):
-            raise NumericError("zero-count bound overflowed during minimization")
-        k = int(np.argmin(vals))
-        if last:
-            break
-        lo, hi = int(idx[max(0, k - 1)]), int(idx[min(_FAN, k + 1)])
-    left, right = pts[[max(0, k - 2), min(len(idx) - 1, k + 2)]].tolist()
-
+    # is the first index i with B(eps_{i+1}) >= B(eps_i), which bisection
+    # over the indices finds in 17 probes.  The golden-section bracket is
+    # i - 2 .. i + 2, clamped to the grid.  B grows like 1/eps^2 at the
+    # small end, so it is largest at grid index 0, and overflows there
+    # first.
     def count_bound(eps: float) -> float:
+        # summing c123 over the characters, N_L(T) <= B(T, eps) log d_L
         c1, c2, c3 = c123(T, eps, 0.0)
         return c1 + c2 * M + c3 / log_d0
 
-    return min(float(vals[k]), count_bound(_golden_min(count_bound, left, right)))
+    def rising(i: int) -> bool:
+        b, b_next = map(count_bound, _eps_points([i, i + 1]).tolist())
+        return b_next >= b
+
+    if not math.isfinite(count_bound(_EPS_LO)):
+        raise NumericError("zero-count bound overflowed during minimization")
+    i = bisect_left(range(_GRID_SIZE - 1), True, key=rising)
+    left, mid, right = _eps_points([max(0, i - 2), i, min(_GRID_SIZE - 1, i + 2)]).tolist()
+    return min(count_bound(mid), count_bound(_golden_min(count_bound, left, right)))
 
 
 def alpha0(T: float, row: MinkowskiRow) -> float:

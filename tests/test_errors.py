@@ -47,6 +47,7 @@ def _cases():
     yield "lambda_0-n0", lambda_0, (nan, 1.0)
     yield "lambda_0-M", lambda_0, (2, nan)
     yield "lambda_0-M-inf", lambda_0, (2, inf)  # was 0.0
+    yield "lambda_0-M-1e-300", lambda_0, (2, 1e-300)  # was ZeroDivisionError
     yield "c123-a", c123, (nan, 1.0, 0.0)
     yield "c123-eps", c123, (1.0, nan, 0.0)
     yield "c123-T", c123, (1.0, 1.0, nan)
@@ -65,6 +66,7 @@ def _cases():
         yield f"ell7-{key}", ell7, {**ELL7, key: nan}
     for key in ("M", "R2"):
         yield f"ell7-{key}-zero", ell7, {**ELL7, key: 0.0}
+    yield "ell7-n0-10**400", ell7, {**ELL7, "n0": 10**400}  # was OverflowError
     for s in (nan, complex(1.0, nan), inf, -inf, complex(1.0, inf)):
         yield f"mellin_H-{s}", mellin_H, (s, P)
     for key in REGIME:
@@ -81,11 +83,17 @@ def _cases():
     yield "solve_t0-no-t0-above-1", solve_t0, (1000.0,)
     yield "minkowski_lookup-2.5", minkowski_lookup, (2.5,)
     yield "minkowski_lookup-nan", minkowski_lookup, (nan,)
+    yield "minkowski_lookup-21.5", minkowski_lookup, (21.5,)  # was the top row
+    for n in (inf, 1e308):
+        yield f"minkowski_lookup-{n}", minkowski_lookup, (n,)  # was log d0 = inf
+    yield "minkowski_lookup-10**400", minkowski_lookup, (10**400,)  # was OverflowError
     yield "standard_config-n0", standard_config, (2.5, True)
     yield "standard_config-beta0", standard_config, (3, "yes")
     yield "FieldParams-2.5", FieldParams, (2.5, 5.0)
     yield "FieldParams-nan", FieldParams, (nan, 5.0)
+    yield "FieldParams-21.5", FieldParams, (21.5, 60.0)  # was accepted
     yield "m_bound", m_bound, (0.5, nan)
+    yield "m_bound-10**6", m_bound, (0.5, 10**6)  # was OverflowError
     yield "SmoothingParams", SmoothingParams, (nan, 0.5)
 
 

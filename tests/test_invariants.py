@@ -1,6 +1,7 @@
 """Field invariants, the Minkowski table, and the lambda size factors."""
 
 import math
+import sys
 
 import pytest
 
@@ -43,6 +44,19 @@ class TestMinkowskiLookup:
     def test_degree_below_two_rejected(self):
         with pytest.raises(DomainError):
             minkowski_lookup(1)
+
+    def test_integral_float_degrees(self):
+        assert minkowski_lookup(2.0) == minkowski_lookup(2)
+        assert minkowski_lookup(22.0) == minkowski_lookup(22)
+        assert FieldParams(22.0, 60.0).n_L == 22
+
+    def test_largest_degree_has_finite_log_d0(self):
+        # the one degree rule stops where the top row's log d0 = n log 10
+        # leaves the doubles
+        top = sys.float_info.max / math.log(10)
+        assert math.isfinite(minkowski_lookup(top).log_d0)
+        with pytest.raises(DomainError):
+            minkowski_lookup(math.nextafter(top, math.inf))
 
     def test_table_has_21_rows(self):
         assert len(MINKOWSKI_TABLE) == 20  # degrees 2..21; 21 covers the rest
