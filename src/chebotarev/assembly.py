@@ -386,10 +386,13 @@ def bound_eval(
     refined branch is selected whenever n_L <= N_0 of that row.  Ranges
     where the form is not yet valid return applicable = False with
     epsilon unset.  Inputs whose threshold or epsilon would leave the
-    double range raise DomainError, so every report is finite.
+    double range raise DomainError, so every report is finite, and so does
+    a form that is not a BoundForm, such as its string value.
     """
     if not (math.isfinite(log_x) and log_x > 0):
         raise DomainError(f"log x must be positive and finite, got {log_x}")
+    if not isinstance(form, BoundForm):
+        raise DomainError(f"form must be a BoundForm, got {form!r}")
     try:
         report = _bound_report(field, log_x, beta0_present, form)
         finite = math.isfinite(report.threshold) and math.isfinite(report.epsilon or 0.0)

@@ -36,6 +36,13 @@ __all__ = ["Endpoint", "SmoothingParams", "weight_g", "weight_h", "mellin_H", "m
 # ratio is evaluated by l'Hopital instead of direct division.
 _REMOVABLE_EPS = 1e-8
 
+# The largest order whose closed forms tests/test_smoothing.py shows to
+# hold: the weight stays in [0, 1] to 1e-9 and H matches quadrature at
+# delta = 0.45.  The alternating sums cancel more with each order: at
+# m = 10 the weight leaves [0, 1] by 1.3e-9, at m = 60 it reaches 7.
+# H also cancels more as delta shrinks, which this cap does not bound.
+_MAX_ORDER = 9
+
 
 class Endpoint(enum.Enum):
     """Which endpoint of the sandwich the weight realizes."""
@@ -53,8 +60,9 @@ class SmoothingParams:
     def __post_init__(self) -> None:
         if not 0 < self.delta < 1:
             raise DomainError(f"delta must lie in (0,1), got {self.delta}")
-        if not self.m >= 1:
-            raise DomainError("the Rosser ramp requires m >= 1")
+        if not (1 <= self.m <= _MAX_ORDER and self.m % 1 == 0):
+            raise DomainError(f"the Rosser ramp needs an integer m in 1..{_MAX_ORDER}, got {self.m}")
+        object.__setattr__(self, "m", int(self.m))
 
     @property
     def alpha(self) -> float:

@@ -23,9 +23,9 @@ alpha4 and a_beta0, are properties of constants.TuningConfig.
 Everything here is a pure function of its arguments.  The one-dimensional
 eps-minimization runs on a fixed 100 000-point geometric eps grid, but no
 call builds that grid: alpha0 bisects over the grid indices, reading about
-40 points in all, each computed by numpy's own geomspace formula, one
-numpy power call per probe, and freed on return.  Every value of the
-objective comes from c123.
+40 points in all, each a Python float from one scalar numpy power by
+numpy's own geomspace formula.  No point outlives the call, and every
+value of the objective comes from c123.
 numpy loads with the first alpha0 call; importing this module loads none.
 alpha0 memoizes its result: it depends only on T and the row, and one
 table or one delta0 bisection asks for the same few values many times.
@@ -36,13 +36,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, NumericError
 from .invariants import FieldParams, MinkowskiRow
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ALPHA1",
@@ -122,21 +118,21 @@ def _golden_min(f, lo: float, hi: float) -> float:
 
 _EPS_LO, _EPS_HI = 1e-3, 50.0
 _GRID_SIZE = 100_000
+_L0 = math.log10(_EPS_LO)
+_STEP = (math.log10(_EPS_HI) - _L0) / (_GRID_SIZE - 1)
 
 
-def _eps_points(idx) -> np.ndarray:
-    """np.geomspace(_EPS_LO, _EPS_HI, _GRID_SIZE)[idx], bit for bit, without
+def _eps_point(i: int) -> float:
+    """np.geomspace(_EPS_LO, _EPS_HI, _GRID_SIZE)[i], bit for bit, without
     the grid: numpy's own formula 10 ** (i * step + log10(_EPS_LO)), with
     index 0 and the last index pinned to the ends as np.geomspace pins them."""
+    if i == 0:
+        return _EPS_LO
+    if i == _GRID_SIZE - 1:
+        return _EPS_HI
     import numpy as np
 
-    idx = np.asarray(idx)
-    l0 = np.log10(_EPS_LO)
-    step = (np.log10(_EPS_HI) - l0) / (_GRID_SIZE - 1)
-    pts = np.power(10.0, idx * step + l0)
-    pts[idx == 0] = _EPS_LO
-    pts[idx == _GRID_SIZE - 1] = _EPS_HI
-    return pts
+    return float(np.power(10.0, i * _STEP + _L0))
 
 
 @lru_cache(maxsize=512)
@@ -155,13 +151,12 @@ def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
         return c1 + c2 * M + c3 / log_d0
 
     def rising(i: int) -> bool:
-        b, b_next = map(count_bound, _eps_points([i, i + 1]).tolist())
-        return b_next >= b
+        return count_bound(_eps_point(i + 1)) >= count_bound(_eps_point(i))
 
     if not math.isfinite(count_bound(_EPS_LO)):
         raise NumericError("zero-count bound overflowed during minimization")
     i = bisect_left(range(_GRID_SIZE - 1), True, key=rising)
-    left, mid, right = _eps_points([max(0, i - 2), i, min(_GRID_SIZE - 1, i + 2)]).tolist()
+    left, mid, right = map(_eps_point, (max(0, i - 2), i, min(_GRID_SIZE - 1, i + 2)))
     return min(count_bound(mid), count_bound(_golden_min(count_bound, left, right)))
 
 

@@ -274,26 +274,31 @@ class TestVerifyCommand:
         # both classes; the unramified total counts them without the character
         from chebotarev import verifier
 
-        # both ways the sweep reads the character: the symbol per prime, and
-        # the residue table
-        right = verifier.kronecker_symbol
-        monkeypatch.setattr(verifier, "kronecker_symbol",
-                            lambda a, n: 0 if n % 4 == 3 else right(a, n))
-        right_table = verifier._residue_table
+        # both ways the sweep reads the character: the residue table up to
+        # |D| = 10^6, the vectorised Jacobi symbol above
+        right_table, right_character = verifier._residue_table, verifier._character
 
         def broken_table(D):
             table = right_table(D)
             table[3::4] = 0
             return table
 
+        def broken_character(D, primes):
+            chi = right_character(D, primes)
+            chi[primes % 4 == 3] = 0
+            return chi
+
         monkeypatch.setattr(verifier, "_residue_table", broken_table)
-        code, out, _ = run(capsys, "verify", "--disc", "-4", "--x-grid", "20,1000",
-                           "--format", "csv")
-        assert code == 0
-        checks = [float(line.split(",")[-1]) for line in out.splitlines()[1:]]
-        # x = 20: log(3 7 11 19) + log 3 from 9 = 3^2
-        assert checks[0] == pytest.approx(math.log(3 * 7 * 11 * 19 * 3), abs=0.01)
-        assert checks[1] > 500
+        monkeypatch.setattr(verifier, "_character", broken_character)
+        # x = 20: log(3 7 11 19) + log 3 from 9 = 3^2 for D = -4, and
+        # log(7 11 19) for D = 3 5 66667, where 3 ramifies
+        for disc, lost in (("-4", 3 * 7 * 11 * 19 * 3), ("1000005", 7 * 11 * 19)):
+            code, out, _ = run(capsys, "verify", "--disc", disc, "--x-grid", "20,1000",
+                               "--format", "csv")
+            assert code == 0
+            checks = [float(line.split(",")[-1]) for line in out.splitlines()[1:]]
+            assert checks[0] == pytest.approx(math.log(lost), abs=0.01), disc
+            assert checks[1] > 500, disc
 
 
 class TestParamsCommand:

@@ -14,6 +14,7 @@ from chebotarev import (
     RegimeThreshold,
     SmoothingParams,
     alpha0_prime,
+    bound_eval,
     c123,
     curly_N0,
     ell6,
@@ -31,6 +32,7 @@ from chebotarev import (
     weight_g,
     weight_h,
 )
+from chebotarev.smoothing import _MAX_ORDER
 
 nan, inf = math.nan, math.inf
 ROW = minkowski_lookup(2)
@@ -95,6 +97,12 @@ def _cases():
     yield "m_bound", m_bound, (0.5, nan)
     yield "m_bound-10**6", m_bound, (0.5, 10**6)  # was OverflowError
     yield "SmoothingParams", SmoothingParams, (nan, 0.5)
+    yield "SmoothingParams-1.5", SmoothingParams, (1.5, 0.5)  # was TypeError in weight_h
+    yield "SmoothingParams-cap+1", SmoothingParams, (_MAX_ORDER + 1, 0.5)  # weight off [0, 1]
+    yield "SmoothingParams-200", SmoothingParams, (200, 0.5)  # was OverflowError in weight_h
+    for form in ("exp", "log", "classical-abs", "classical-nl"):
+        # was the log form's epsilon under the given label
+        yield f"bound_eval-{form}", bound_eval, (FieldParams(3, 10.0), 1e5, True, form)
 
 
 CASES = list(_cases())

@@ -15,7 +15,6 @@ import sys
 import types
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from chebotarev import cli, zeros
@@ -65,10 +64,8 @@ def _stdout_of(key: str) -> str:
 def _numpy_power_is_libm() -> bool:
     """True when numpy's power rounds like Python's 10.0 ** y at every point
     of the eps grid, as it does without AVX-512."""
-    idx = np.arange(1, zeros._GRID_SIZE - 1)  # the two ends are pinned
-    l0 = np.log10(zeros._EPS_LO)
-    y = idx * ((np.log10(zeros._EPS_HI) - l0) / (zeros._GRID_SIZE - 1)) + l0
-    return zeros._eps_points(idx).tolist() == [10.0 ** v for v in y.tolist()]
+    return all(zeros._eps_point(i) == 10.0 ** (i * zeros._STEP + zeros._L0)
+               for i in range(1, zeros._GRID_SIZE - 1))  # the two ends are pinned
 
 
 def _mismatches(keys) -> list[str]:

@@ -16,6 +16,7 @@ from chebotarev import (
     weight_g,
     weight_h,
 )
+from chebotarev.smoothing import _MAX_ORDER
 
 
 def mellin_quadrature(s: complex, p: SmoothingParams) -> complex:
@@ -95,7 +96,7 @@ class TestMellin:
         want = mellin_quadrature(2.0 + 0j, p)
         assert abs(got - want) <= 1e-8 * abs(want)
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, _MAX_ORDER])
     @pytest.mark.parametrize("make", [UPPER, LOWER])
     @pytest.mark.parametrize("s", [0.5 + 3j, 2.5 - 1.2j, 1.0 + 0j])
     def test_matches_quadrature_complex(self, m, make, s):
@@ -124,6 +125,40 @@ class TestMellin:
         p = UPPER(1, 0.5)
         for t in (0.1, 1.0, 7.5, 40.0):
             assert abs(mellin_H(1j * t, p)) <= 1.0 / t + 1e-12
+
+
+class TestOrderCap:
+    """The weight's closed form holds up to the order cap (H's is checked
+    there by test_matches_quadrature_complex); the next order is where its
+    alternating sum first cancels past the tolerance."""
+
+    XS = np.linspace(0.0, 1.0, 401)[1:-1].tolist()
+    DELTAS = (1e-3, 0.1, 0.5, 0.99)
+
+    def worst_excursion(self, m):
+        # how far the ramp leaves [0, 1] on the 399-point grid, over the
+        # acceptance suite's deltas and both endpoints
+        worst = 0.0
+        for delta in self.DELTAS:
+            for endpoint in Endpoint:
+                p = SmoothingParams(1, delta, endpoint)
+                # set after construction, so that m may pass the cap
+                object.__setattr__(p, "m", m)
+                for x in self.XS:
+                    g = weight_g(x, p)
+                    worst = max(worst, -g, g - 1.0)
+        return worst
+
+    def test_weight_within_unit_interval_at_cap(self):
+        assert self.worst_excursion(_MAX_ORDER) <= 1e-9
+
+    def test_next_order_leaves_unit_interval(self):
+        assert self.worst_excursion(_MAX_ORDER + 1) > 1e-9
+
+    def test_integral_float_order_is_an_int(self):
+        p = SmoothingParams(2.0, 0.5)
+        assert type(p.m) is int and p == SmoothingParams(2, 0.5)
+        assert weight_h(1.2, p) == weight_h(1.2, SmoothingParams(2, 0.5))
 
 
 class TestMBound:

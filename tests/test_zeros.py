@@ -257,11 +257,13 @@ class TestAlpha0Window:
         assert res.returncode == 0, res.stdout + res.stderr
         assert "2 passed" in res.stdout, res.stdout
 
-    def test_grid_and_coarse_indices(self):
+    def test_eps_point_is_the_grid_point(self):
         # the full grid exists only in these tests, as the oracle for the
-        # point formula
-        pts = zeros._eps_points(range(100_000))
-        assert np.array_equal(pts.view(np.int64), GRID.view(np.int64))
+        # point formula: every index gives a float equal to np.geomspace's
+        # point, bit for bit
+        pts = [zeros._eps_point(i) for i in range(100_000)]
+        assert all(type(p) is float for p in pts)
+        assert np.array_equal(np.array(pts).view(np.int64), GRID.view(np.int64))
 
     def test_import_builds_no_grid(self):
         code = ("import sys\n"
@@ -273,8 +275,8 @@ class TestAlpha0Window:
 
     def test_cold_call_allocates_no_grid(self):
         # the first alpha0 call of a process, numpy already loaded: it holds
-        # only the ~40 points it reads, two or three at a time, never a grid
-        # of 100 000 doubles (781 KiB on its own); it peaks near 1 KiB
+        # only the ~40 points it reads, a few floats at a time, never a grid
+        # of 100 000 doubles (781 KiB on its own); it peaks under 1 KiB
         code = ("import tracemalloc\n"
                 "import numpy\n"
                 "from chebotarev import minkowski_lookup, zeros\n"
@@ -284,7 +286,7 @@ class TestAlpha0Window:
                 "print(tracemalloc.get_traced_memory()[1])\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
-        assert int(res.stdout) < 8 * 1024
+        assert int(res.stdout) < 2 * 1024
 
     def test_lower_grid_edge(self):
         # no real row puts the argmin on the lower edge (B grows like
