@@ -16,8 +16,8 @@ that record alone.  _finals_cached keeps one record per table row and
 beta_0 state for the process, which warm bound evaluation reads.
 _bound_report states each of the four bound forms once: its threshold on
 log x, its details and, on the branch in use, a coefficient and a decay
-rate.  Each branch's published b0 lives in _PUBLISHED_B0, the default of
-classical_constants.
+rate.  Each branch's published b0, the default of classical_constants, is
+read into _PUBLISHED_B0 from table 7's degree-range rows.
 
 Each of the eight published tables is one spec in _TABLES (its title,
 printed rows, row-level cells and, for tables 4-8, one block of cells per
@@ -47,7 +47,7 @@ from typing import Any
 from . import reference_values as pv
 from .constants import EllConstants, TuningConfig, compute_ells
 from .errors import DomainError, SearchError
-from .invariants import FieldParams, lambda_0, lambda_L, minkowski_lookup
+from .invariants import _TOP_N0, FieldParams, lambda_0, lambda_L, minkowski_lookup
 from .zeros import R2, _bisect
 
 __all__ = [
@@ -78,10 +78,6 @@ __all__ = [
 # prose as its round-up 0.354, but the published N_0 column only reproduces
 # with the exact value
 C_CURLY_N0 = 2.0**-1.5
-
-# published exponent choices for the absolute-constant corollary
-B0_FULL = 0.23
-B0_REFINED = 0.25
 
 
 @dataclass(frozen=True)
@@ -134,7 +130,11 @@ class ClassicalBranch(enum.Enum):
     FULL = "full"        # (A, B) = (2, 1),     exponent 1/sqrt(R2) - 1/sqrt(alpha)
 
 
-_PUBLISHED_B0 = {ClassicalBranch.FULL: B0_FULL, ClassicalBranch.REFINED: B0_REFINED}
+# published exponent choices for the absolute-constant corollary, one per
+# branch, read from table 7's degree-range rows
+_PUBLISHED_B0 = {ClassicalBranch(branch): float(b0) for _, _, _, b0, _, branch in pv.TABLE7_RANGE}
+B0_FULL = _PUBLISHED_B0[ClassicalBranch.FULL]
+B0_REFINED = _PUBLISHED_B0[ClassicalBranch.REFINED]
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class Delta0Mode(enum.Enum):
 def standard_config(n0: int, beta0_present: bool) -> TuningConfig:
     """Standard configuration on a table row (n0 in 2..21), with the
     published per-row delta0."""
-    if n0 not in range(2, 22):
+    if n0 not in range(2, _TOP_N0 + 1):
         raise DomainError(f"n0 must be a table row in 2..21, got {n0}")
     if beta0_present not in (True, False):
         raise DomainError(f"beta0_present must be True or False, got {beta0_present!r}")
@@ -293,7 +293,7 @@ def choose_delta0(n0: int, beta0_present: bool, mode: Delta0Mode = Delta0Mode.SE
     delta0 = min(1 - sqrt(2)/x0, 0.99999).  A given delta0 is reproduced,
     with the same checks, by standard_config(n0, beta0_present).with_delta0.
     """
-    if n0 >= 21:
+    if n0 >= _TOP_N0:
         return min(standard_config(n0, beta0_present).delta0_ceiling, 0.99999)
     return _delta0_interval(n0, beta0_present)[0]
 
@@ -422,7 +422,7 @@ def _bound_report(
 ) -> BoundReport:
     # epsilon = coeff e^(-rate), with rate 0 in the log form; computed early,
     # the coefficient raises on no input whose threshold computes
-    f = _finals_cached(min(field.n_L, 21), beta0_present)
+    f = _finals_cached(min(field.n_L, _TOP_N0), beta0_present)
     n = field.n_L
     refined = n <= f.N0
     root = math.sqrt(log_x / n)
@@ -551,7 +551,7 @@ def _table7_range_rows(use: tuple[bool, ...]) -> list[tuple[str, list, list]]:
     for label, present, a0_s, b0_s, c0_s, branch_s in pv.TABLE7_RANGE:
         if present not in use:
             continue
-        cc = classical_constants(_finals_cached(21, present), ClassicalBranch(branch_s))
+        cc = classical_constants(_finals_cached(_TOP_N0, present), ClassicalBranch(branch_s))
         crow: list[float | None] = [None] * (len(use) * 3)
         prow: list[str | None] = [None] * (len(use) * 3)
         off = use.index(present) * 3
@@ -678,7 +678,7 @@ def diff_table(table: Table) -> list[CellDiff]:
 # --------------------------------------------------------------------------
 
 def _floor_dec(v: float, dec: int) -> float:
-    return math.floor(v * 10.0**dec + 1e-9) / 10.0**dec
+    return math.floor(v * 10.0**dec) / 10.0**dec
 
 
 def corollary_constants() -> dict[str, dict[str, float]]:
@@ -697,7 +697,7 @@ def corollary_constants() -> dict[str, dict[str, float]]:
     f2 = _finals_cached(2, True)
     worst_exp_half = min(_finals_cached(n0, True).exp_coeff_half for n0 in pv.TABLE6)
     full2 = classical_constants(f2, ClassicalBranch.FULL)
-    refined21 = classical_constants(_finals_cached(21, True), ClassicalBranch.REFINED)
+    refined_top = classical_constants(_finals_cached(_TOP_N0, True), ClassicalBranch.REFINED)
 
     return {
         "exp": {
@@ -717,7 +717,7 @@ def corollary_constants() -> dict[str, dict[str, float]]:
             "threshold": float(math.ceil(full2.c0)),
             "a0_general": full2.a0,
             "b0_general": full2.b0,
-            "a0_refined": refined21.a0,
-            "b0_refined": refined21.b0,
+            "a0_refined": refined_top.a0,
+            "b0_refined": refined_top.b0,
         },
     }

@@ -8,9 +8,9 @@ themselves routinely exceed double precision (the table below reaches
 
 The table of per-degree minimal discriminants d_0 and coefficients M with
 n_L/log(d_L) <= M comes from the published Odlyzko-style discriminant
-bounds.  Rows are embedded verbatim; M oscillates slightly between
-consecutive degrees (it tracks the best bound per signature) and must not
-be smoothed.
+bounds.  Its rows are read from the printed table 3 in reference_values,
+the one transcription of them; M oscillates slightly between consecutive
+degrees (it tracks the best bound per signature) and must not be smoothed.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .reference_values import TABLE3_MINKOWSKI
 
 __all__ = [
     "MinkowskiRow",
@@ -41,33 +42,15 @@ class MinkowskiRow:
     M: float
 
 
-def _row(n0: int, d0: float, M: float) -> MinkowskiRow:
-    return MinkowskiRow(n0, math.log(d0), M)
-
-
-# (n_0, d_0, M) rows, degree 2 through 21.  The last row covers every
-# degree >= 21 with d_0 = 10^(n_0) and M = 1/log(10).
-MINKOWSKI_TABLE: tuple[MinkowskiRow, ...] = (
-    _row(2, 3, 1.82048),
-    _row(3, 23, 0.956787),
-    _row(4, 117, 0.839953),
-    _row(5, 1609, 0.677198),
-    _row(6, 9747, 0.653259),
-    _row(7, 184607, 0.577273),
-    _row(8, 1257728, 0.569605),
-    _row(9, 2.29e7, 0.531078),
-    _row(10, 1.56e8, 0.530072),
-    _row(11, 3.91e9, 0.498035),
-    _row(12, 2.74e10, 0.499297),
-    _row(13, 7.56e11, 0.475297),
-    _row(14, 5.43e12, 0.477442),
-    _row(15, 1.61e14, 0.458541),
-    _row(16, 1.17e15, 0.461151),
-    _row(17, 3.70e16, 0.445613),
-    _row(18, 2.73e17, 0.448338),
-    _row(19, 9.03e18, 0.435310),
-    _row(20, 6.74e19, 0.438047),
-    MinkowskiRow(21, 21 * math.log(10), 0.434294),
+# (n_0, d_0, M) rows, degree 2 through 21, as printed in table 3.  float()
+# parses a cell correctly rounded; parse_printed does not, and would move
+# the d_0 of rows 12 and 19 by an ulp.  The top row covers every degree
+# n_L >= n_0 with d_0 = 10^(n_L), so its log d_0 is n_0 log(10), not the
+# log of its printed 1E21.
+_TOP_N0 = max(TABLE3_MINKOWSKI)
+MINKOWSKI_TABLE: tuple[MinkowskiRow, ...] = tuple(
+    MinkowskiRow(n0, n0 * math.log(10) if n0 == _TOP_N0 else math.log(float(d0)), float(M))
+    for n0, (d0, M) in TABLE3_MINKOWSKI.items()
 )
 
 _ROW_BY_N0 = {row.n0: row for row in MINKOWSKI_TABLE}
@@ -85,14 +68,15 @@ def _require_degree(n: int) -> None:
 
 
 def minkowski_lookup(n_L: int) -> MinkowskiRow:
-    """Return the table row with the largest n_0 <= min(n_L, 21).
+    """Return the table row with the largest n_0 <= n_L.
 
-    For n_L >= 21 the returned row carries d_0 = 10^(n_L), i.e.
-    log d_0 = n_L * log(10), with the same coefficient M = 1/log(10).
+    From the top row's degree (21) on, the returned row carries
+    d_0 = 10^(n_L), i.e. log d_0 = n_L * log(10), with the same coefficient
+    M = 1/log(10).
     """
     _require_degree(n_L)
-    if n_L >= 21:
-        return MinkowskiRow(21, n_L * math.log(10), _ROW_BY_N0[21].M)
+    if n_L >= _TOP_N0:
+        return MinkowskiRow(_TOP_N0, n_L * math.log(10), _ROW_BY_N0[_TOP_N0].M)
     return _ROW_BY_N0[n_L]
 
 
@@ -118,9 +102,9 @@ class FieldParams:
                 f"log d_L = {self.log_dL} below log(3); no quadratic or higher "
                 "field has a smaller discriminant"
             )
-        # M is the same for every degree >= 21; only the top row's log d0,
-        # unused here, grows with the degree
-        M = _ROW_BY_N0[min(self.n_L, 21)].M
+        # M is the same for every degree from the top row's on; only its
+        # log d0, unused here, grows with the degree
+        M = _ROW_BY_N0[min(self.n_L, _TOP_N0)].M
         # the printed (d0, M) rows are independently rounded, so the exact
         # minima overshoot n0 = M log d0 by up to ~1.2e-6 relative
         if self.n_L > M * self.log_dL * (1 + 2e-6):

@@ -24,11 +24,12 @@ with the transform-size bound M(delta, m) given by `m_bound`.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, NumericError, PoleError
 
 __all__ = ["Endpoint", "SmoothingParams", "weight_g", "weight_h", "mellin_H", "m_bound"]
 
@@ -40,8 +41,14 @@ _REMOVABLE_EPS = 1e-8
 # hold: the weight stays in [0, 1] to 1e-9 and H matches quadrature at
 # delta = 0.45.  The alternating sums cancel more with each order: at
 # m = 10 the weight leaves [0, 1] by 1.3e-9, at m = 60 it reaches 7.
-# H also cancels more as delta shrinks, which this cap does not bound.
+# H also cancels more as delta shrinks; _MAX_SUM_ERROR bounds that.
 _MAX_ORDER = 9
+
+# The largest relative rounding error mellin_H lets its alternating sum
+# carry, estimated as 2^-52 sum|term| / |sum term|.  The tests' inputs
+# reach 1.2e-7 (m = 9, delta = 0.45, s = 1); H(1) at m = 8, delta = 0.1,
+# off by 4e-4 against an mpmath integral, reaches 3.9e-4.
+_MAX_SUM_ERROR = 1e-6
 
 
 class Endpoint(enum.Enum):
@@ -109,6 +116,10 @@ def mellin_H(s: complex, p: SmoothingParams) -> complex:
     Valid in the whole plane by meromorphic continuation.  s = 0 is the
     one genuine pole; within 1e-8 of s = -1,...,-m the removable
     singularity is resolved by a first-order (l'Hopital) expansion.
+    A value the closed form cannot resolve raises: NumericError where its
+    alternating sum cancels past _MAX_SUM_ERROR (small delta, high m, or
+    s just outside the l'Hopital band), DomainError where a power, the
+    denominator or H leaves the doubles (very large |s|).
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
@@ -122,18 +133,27 @@ def mellin_H(s: complex, p: SmoothingParams) -> complex:
     scale = (c / m) ** m
 
     near = next((j for j in range(1, m + 1) if abs(s + j) < _REMOVABLE_EPS), None)
-    if near is not None:
-        # numerator and denominator both vanish at s = -near; take the
-        # ratio of derivatives there
-        num_d = sum(
-            sg * knots[j] ** (m + s) * math.log(knots[j]) for j, sg in enumerate(signs)
+    try:
+        if near is None:
+            terms = [sg * k ** (m + s) for sg, k in zip(signs, knots)]
+            den = scale * math.prod(s + i for i in range(m + 1))
+        else:
+            # numerator and denominator both vanish at s = -near; take the
+            # ratio of derivatives there
+            terms = [sg * k ** (m + s) * math.log(k) for sg, k in zip(signs, knots)]
+            den = scale * math.prod(complex(-near + i) for i in range(m + 1) if i != near)
+        num = sum(terms)
+        H = num / den
+        finite = cmath.isfinite(den) and cmath.isfinite(H)
+    except (OverflowError, ZeroDivisionError):  # a power or H past the doubles
+        finite = False
+    if not finite:
+        raise DomainError(f"H({s}) overflows double precision at m={m}, delta={p.delta}")
+    if not 2.0**-52 * sum(map(abs, terms)) <= _MAX_SUM_ERROR * abs(num):
+        raise NumericError(
+            f"H({s}) cancels past {_MAX_SUM_ERROR:g} relative error at m={m}, delta={p.delta}"
         )
-        den_d = scale * math.prod(complex(-near + i) for i in range(m + 1) if i != near)
-        return num_d / den_d
-
-    num = sum(sg * knots[j] ** (m + s) for j, sg in enumerate(signs))
-    den = scale * math.prod(s + i for i in range(m + 1))
-    return num / den
+    return H
 
 
 def m_bound(delta: float, m: int) -> float:

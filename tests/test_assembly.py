@@ -24,12 +24,13 @@ from chebotarev import (
     final_constants,
     generate_table,
     lambda_L,
+    minkowski_lookup,
     standard_config,
 )
-from chebotarev.assembly import (B0_FULL, B0_REFINED, _decayed, _delta0_interval, _finals_cached,
-                                 classical_a0_grid)
+from chebotarev.assembly import (_PUBLISHED_B0, B0_FULL, B0_REFINED, _decayed, _delta0_interval,
+                                 _finals_cached, _floor_dec, classical_a0_grid)
 from chebotarev.constants import compute_ells
-from chebotarev.reference_values import DELTA0, matches_printed, parse_printed
+from chebotarev.reference_values import DELTA0, TABLE7_RANGE, matches_printed, parse_printed
 from chebotarev.zeros import R2
 
 
@@ -235,6 +236,13 @@ class TestClassicalConstants:
         for branch, b0 in ((ClassicalBranch.FULL, 0.23), (ClassicalBranch.REFINED, 0.25)):
             assert classical_constants(f, branch) == classical_constants(f, branch, b0)
         assert classical_constants(f, ClassicalBranch.FULL, 0.2).b0 == 0.2
+
+    def test_published_b0_is_one_per_branch(self):
+        # read from table 7's range rows, which print the same b0 for both
+        # beta0 states of a branch
+        for _, _, _, b0, _, branch in TABLE7_RANGE:
+            assert float(b0) == _PUBLISHED_B0[ClassicalBranch(branch)]
+        assert (B0_FULL, B0_REFINED) == (0.23, 0.25)
 
     def test_c0_decreasing_across_rows(self):
         vals = [
@@ -447,6 +455,43 @@ class TestBoundEval:
                                           want + 2 * decimal.Decimal(math.ulp(0.0)))
 
 
+class TestBoundShape:
+    """Epsilon falls as log x grows above the threshold, and does not fall
+    as log d_L grows at a log x where both fields' bounds apply: a seeded
+    probe of every form and beta0 state over n_L in 2..1000 (the rows' ends
+    and the two N0 ceilings drawn more often), log d_L from the Minkowski
+    minimum to 100 times it, and log x from the threshold to 1000 times it.
+    The sampled points lie far apart; at neighbouring floats of log x the
+    roundings of coefficient and decay move epsilon by an ulp either way,
+    which the 1e-12 slack absorbs."""
+
+    FIELDS = 750
+    SLACK = 1 + 1e-12
+
+    @pytest.mark.parametrize("beta0_present", [True, False])
+    @pytest.mark.parametrize("form", list(BoundForm))
+    def test_monotone_in_log_x_and_log_dL(self, form, beta0_present):
+        rng = random.Random(f"{form.value}-{beta0_present}")
+
+        def eps(field, log_x):
+            rep = bound_eval(field, log_x, beta0_present, form)
+            assert rep.applicable
+            return rep.epsilon
+
+        def threshold(field):
+            return bound_eval(field, 1.0, beta0_present, form).threshold
+
+        for _ in range(self.FIELDS):
+            n = rng.choice((2, 20, 21, 520, 655, 1000)) if rng.random() < 0.3 else rng.randint(2, 1000)
+            lo = minkowski_lookup(n).log_d0
+            small, large = (FieldParams(n, lo * 100 ** u) for u in sorted((rng.random(), rng.random())))
+            start = threshold(small)
+            curve = [eps(small, start * 1000 ** u) for u in sorted(rng.random() for _ in range(12))]
+            assert all(b <= a * self.SLACK for a, b in zip(curve, curve[1:])), (n, small)
+            log_x = threshold(large) * 1000 ** rng.random()
+            assert eps(small, log_x) <= eps(large, log_x) * self.SLACK, (n, small, large, log_x)
+
+
 class TestTables:
     def test_table1_shape_and_cells(self):
         t = generate_table(1)
@@ -548,6 +593,13 @@ class TestCorollaries:
         assert matches_printed(got["refined"], "3.674E-2")
         assert got["decay_general"] == 0.267
         assert got["decay_refined"] == 0.258
+
+    def test_floor_dec_stays_at_or_below_its_argument(self):
+        # an exponent coefficient is floored: a value just below a printed
+        # boundary must not be rounded up onto it
+        below = math.nextafter(0.3, 0)
+        assert _floor_dec(below, 3) == 0.299
+        assert _floor_dec(0.3, 3) == 0.3
 
     def test_absolute_form(self):
         got = corollary_constants()["absolute"]

@@ -71,6 +71,9 @@ def _cases():
     yield "ell7-n0-10**400", ell7, {**ELL7, "n0": 10**400}  # was OverflowError
     for s in (nan, complex(1.0, nan), inf, -inf, complex(1.0, inf)):
         yield f"mellin_H-{s}", mellin_H, (s, P)
+    # were nan+nanj, nan+nanj and OverflowError
+    for s in (-1e300, complex(1.0, 1e300), 1e300):
+        yield f"mellin_H-{s}", mellin_H, (s, SmoothingParams(3, 0.5))
     for key in REGIME:
         yield f"BesselArgs-{key}", BesselArgs.from_parameters, {**REGIME, key: nan}
         yield f"RegimeThreshold-{key}", RegimeThreshold.from_parameters, {**REGIME, key: nan}

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from chebotarev import (
     DomainError,
     Endpoint,
+    NumericError,
     PoleError,
     SmoothingParams,
     m_bound,
@@ -119,6 +120,13 @@ class TestMellin:
         seq = [mellin_H(-1.0 + 10.0**-k, p) for k in (4, 5, 6)]
         for v in seq:
             assert abs(v - inside) < 1e-3 * abs(inside)
+
+    @pytest.mark.parametrize("p", [LOWER(5, 1e-3), LOWER(9, 0.1), UPPER(8, 0.1)])
+    def test_cancelled_sum_raises(self, p):
+        # H(1) = alpha + delta/2 exactly; the closed form's alternating sum
+        # gave 24.6 for 0.9995, 0.9567 for 0.95 and 1.04959 for 1.05 here
+        with pytest.raises(NumericError):
+            mellin_H(1.0, p)
 
     def test_boundary_decay_bound(self):
         # |H(it)| <= 1/|it| at the Re(s) = 0 edge (with int |g'| = 1)
