@@ -333,7 +333,11 @@ def classical_constants(f: FinalConstants, branch: ClassicalBranch,
                         b0: float | None = None) -> ClassicalConstants:
     """Absolute constants (a0, b0, c0) of the configuration behind f, with
     E_C(x) <= x^(beta0-1)/beta0 + a0 e^(-b0 sqrt(log x/n_L)) for
-    log x >= c0 n_L (log d_L)^2; b0 defaults to the branch's published one."""
+    log x >= c0 n_L (log d_L)^2; b0 defaults to the branch's published one.
+    A branch that is not a ClassicalBranch, such as its string value,
+    raises DomainError."""
+    if not isinstance(branch, ClassicalBranch):
+        raise DomainError(f"branch must be a ClassicalBranch, got {branch!r}")
     if b0 is None:
         b0 = _PUBLISHED_B0[branch]
     cfg = f.cfg

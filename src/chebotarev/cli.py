@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -85,6 +86,16 @@ def _emit(text: str, out_path: str | None) -> None:
             raise DomainError(f"cannot write to stdout: {exc.strerror or exc}") from None
 
 
+def _emit_record(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
+    """Write one record: payload as a JSON object under --format jsonl,
+    the command's own key = value lines under csv and markdown."""
+    if args.format == "jsonl":
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    else:
+        text = "\n".join(lines)
+    _emit(text + "\n", args.out)
+
+
 def _table_rows(table: Table, published_style: bool) -> list[list[str]]:
     from .reference_values import round_up_like
 
@@ -110,13 +121,12 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
     diffs = diff_table(table)
     bad = [d for d in diffs if not d.ok]
-    if args.diff or bad:
-        for d in diffs if args.diff else bad:
-            status = "ok" if d.ok else "MISMATCH"
-            sys.stderr.write(
-                f"{status} table {table.table_id} row {d.row} {d.column}: "
-                f"computed {d.computed:.8g} vs printed {d.printed}\n"
-            )
+    for d in diffs if args.diff else bad:
+        status = "ok" if d.ok else "MISMATCH"
+        sys.stderr.write(
+            f"{status} table {table.table_id} row {d.row} {d.column}: "
+            f"computed {d.computed:.8g} vs printed {d.printed}\n"
+        )
     sys.stderr.write(
         f"table {table.table_id}: {len(diffs) - len(bad)}/{len(diffs)} cells match\n"
     )
@@ -144,29 +154,25 @@ def cmd_bound(args: argparse.Namespace) -> int:
         "epsilon": report.epsilon,
         "refined_branch": report.refined_used,
         "exceptional_term": report.exceptional_term,
-        "details": {k: v for k, v in sorted(report.details.items())},
+        "details": report.details,
     }
-    if args.format == "jsonl":
-        _emit(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n", args.out)
+    lines = [
+        f"form:               {payload['form']}",
+        f"field:              n_L = {report.n_L}, log d_L = {field.log_dL:.6g}",
+        f"threshold on log x: {report.threshold:.6g}",
+        f"applicable:         {'yes' if report.applicable else 'no'} (log x = {report.log_x:.6g})",
+    ]
+    if report.applicable:
+        lines.append(f"epsilon:            {report.epsilon:.6g}"
+                     f" ({'refined' if report.refined_used else 'general'} branch)")
     else:
-        lines = [
-            f"form:               {payload['form']}",
-            f"field:              n_L = {report.n_L}, log d_L = {field.log_dL:.6g}",
-            f"threshold on log x: {report.threshold:.6g}",
-            f"applicable:         {'yes' if report.applicable else 'no'} (log x = {report.log_x:.6g})",
-        ]
-        if report.applicable:
-            lines.append(f"epsilon:            {report.epsilon:.6g}"
-                         f" ({'refined' if report.refined_used else 'general'} branch)")
-        else:
-            lines.append("epsilon:            not applicable in this range")
-        if report.exceptional_term:
-            lines.append(f"exceptional term:   + {report.exceptional_term} (if beta0 exists)")
-        else:
-            lines.append("exceptional term:   none (beta0 assumed absent)")
-        for k, v in sorted(report.details.items()):
-            lines.append(f"  {k} = {v:.6g}")
-        _emit("\n".join(lines) + "\n", args.out)
+        lines.append("epsilon:            not applicable in this range")
+    if report.exceptional_term:
+        lines.append(f"exceptional term:   + {report.exceptional_term} (if beta0 exists)")
+    else:
+        lines.append("exceptional term:   none (beta0 assumed absent)")
+    lines += [f"  {k} = {v:.6g}" for k, v in sorted(report.details.items())]
+    _emit_record(payload, lines, args)
     return 0
 
 
@@ -215,33 +221,15 @@ def cmd_params(args: argparse.Namespace) -> int:
         "log_x0": cfg.x0_log,
         "ell": {f"l{i}": getattr(ells, f"l{i}") for i in range(8)},
         "Y0": ells.Y0,
-        "E1": finals.E1,
-        "E2": finals.E2,
-        "E3": finals.E3,
-        "E3_tilde": finals.E3_tilde,
-        "N0": finals.N0,
-        "D12": finals.D12,
-        "D3": finals.D3,
-        "D3_tilde": finals.D3_tilde,
-        "C12": finals.C12,
-        "C3": finals.C3,
-        "C3_tilde": finals.C3_tilde,
-        "exp_coeff_full": finals.exp_coeff_full,
-        "exp_coeff_half": finals.exp_coeff_half,
     }
-    if args.format == "jsonl":
-        _emit(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n", args.out)
-    else:
-        lines = []
-        for key, val in payload.items():
-            if isinstance(val, dict):
-                for k2, v2 in val.items():
-                    lines.append(f"{k2:16s} = {_fmt(v2)}")
-            elif isinstance(val, float):
-                lines.append(f"{key:16s} = {_fmt(val)}")
-            else:
-                lines.append(f"{key:16s} = {val}")
-        _emit("\n".join(lines) + "\n", args.out)
+    # the theorem constants, E1 to exp_coeff_half, in field order
+    payload.update((f.name, getattr(finals, f.name)) for f in dataclasses.fields(finals)
+                   if f.name not in ("cfg", "ells", "k"))
+    lines = []
+    for key, val in payload.items():
+        for k2, v2 in val.items() if isinstance(val, dict) else [(key, val)]:
+            lines.append(f"{k2:16s} = {_fmt(v2) if isinstance(v2, float) else v2}")
+    _emit_record(payload, lines, args)
     return 0
 
 

@@ -65,6 +65,8 @@ class SmoothingParams:
     endpoint: Endpoint = Endpoint.UPPER
 
     def __post_init__(self) -> None:
+        if not isinstance(self.endpoint, Endpoint):
+            raise DomainError(f"endpoint must be an Endpoint, got {self.endpoint!r}")
         if not 0 < self.delta < 1:
             raise DomainError(f"delta must lie in (0,1), got {self.delta}")
         if not (1 <= self.m <= _MAX_ORDER and self.m % 1 == 0):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -146,13 +146,29 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the least strong pseudoprime to the first k bases (OEIS A014233):
+# below psi_k those k bases decide primality
+_MR_PSI = (
+    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
+    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
+)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin with the fewest proven bases for n.
+
+    Exact for n < psi_13 = 3 317 044 064 679 887 385 961 981 (about
+    3.3e24), which takes all 13 bases 2..41; every n below the sieve cap
+    2^46 needs at most 7.  No base set is proven at or above psi_13, so
+    there it raises DomainError.
+    """
     if n < 2:
         return False
+    if n >= _MR_PSI[-1]:
+        raise DomainError(f"{n} is too large: primality is proven only below {_MR_PSI[-1]}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -160,7 +176,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for base in _MR_BASES:
+    for base in _MR_BASES[:bisect_right(_MR_PSI, n) + 1]:
         x = pow(base, d, n)
         if x in (1, n - 1):
             continue
@@ -463,7 +479,10 @@ def psi_C_exact(
     field: QuadraticField, x: float, cls: ConjugacyClass, limit: int | None = None
 ) -> ClassCount:
     """psi_C(x) for one class of Gal(Q(sqrt(D))/Q), with its normalized
-    deviation from the equidistribution prediction x/2."""
+    deviation from the equidistribution prediction x/2.  A cls that is not
+    a ConjugacyClass, such as its string value, raises DomainError."""
+    if not isinstance(cls, ConjugacyClass):
+        raise DomainError(f"cls must be a ConjugacyClass, got {cls!r}")
     ident, nontriv = psi_pair(field, x, limit)
     psi = ident if cls is ConjugacyClass.IDENTITY else nontriv
     half = x / 2.0

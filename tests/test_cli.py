@@ -446,6 +446,22 @@ def test_unwritable_out_is_usage_error(tmp_path, argv, target):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize("argv", [
+    ["tables", "--id=4", "--published-style"],
+    ["params", "--n0=2"],
+    ["verify", "--disc=5", "--x-grid=100,1000"],
+    ["bound", "--nL=2", "--dL=5", "--logx=5000"],  # applicable
+    ["bound", "--nL=2", "--dL=5", "--logx=10"],    # below the threshold
+])
+def test_out_file_gets_the_stdout_bytes(capsys, tmp_path, argv, fmt):
+    argv = [*argv, f"--format={fmt}"]
+    code, stdout, _ = run(capsys, *argv)
+    target = tmp_path / "out"
+    assert run(capsys, *argv, f"--out={target}")[:2] == (code, "")
+    assert target.read_bytes() == stdout.encode()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("redirect, unbuffered", [
     (">/dev/full", False), (">/dev/full", True), (">&-", False),

@@ -10,12 +10,14 @@ from chebotarev import (
     DomainError,
     FieldParams,
     P_E_L,
+    QuadraticField,
     Q_kernel_partial_u,
     RegimeThreshold,
     SmoothingParams,
     alpha0_prime,
     bound_eval,
     c123,
+    classical_constants,
     curly_N0,
     ell6,
     ell7,
@@ -26,6 +28,7 @@ from chebotarev import (
     m_bound,
     mellin_H,
     minkowski_lookup,
+    psi_C_exact,
     solve_omega0,
     solve_t0,
     standard_config,
@@ -106,6 +109,13 @@ def _cases():
     for form in ("exp", "log", "classical-abs", "classical-nl"):
         # was the log form's epsilon under the given label
         yield f"bound_eval-{form}", bound_eval, (FieldParams(3, 10.0), 1e5, True, form)
+    # an enum's string value used to get the other member's answer under its
+    # own label, or a bare KeyError
+    yield "psi_C_exact-identity", psi_C_exact, (QuadraticField(-4), 1000.0, "identity")
+    finals = final_constants(standard_config(2, True))
+    yield "classical_constants-refined-b0", classical_constants, (finals, "refined", 0.2)
+    yield "classical_constants-refined", classical_constants, (finals, "refined")
+    yield "SmoothingParams-upper", SmoothingParams, (2, 0.3, "upper")
 
 
 CASES = list(_cases())

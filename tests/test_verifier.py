@@ -382,11 +382,21 @@ class TestPrimeInfrastructure:
             assert is_prime(n) == (n in primes)
         assert is_prime(2**31 - 1)
         assert not is_prime(2**31)
-        # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
-        assert not is_prime(3215031751)
-        # the least strong pseudoprime to the bases 2..17 (and 19)
-        assert not is_prime(341_550_071_728_321)
         assert is_prime(verifier.MAX_SIEVE_LIMIT - 21)  # the largest prime below the sieve cap
+        assert is_prime(2**61 - 1) and is_prime(2**64 - 59)  # a Mersenne prime; the largest below 2^64
+        # psi_k, the least strong pseudoprime to the first k prime bases
+        # (OEIS A014233), k = 1..12 (psi_7 = psi_8, psi_9 = psi_10 = psi_11);
+        # psi_4 = 151 * 751 * 28351, and psi_12 passes all twelve bases 2..37
+        psi = [2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
+               3_474_749_660_383, 341_550_071_728_321, 3_825_123_056_546_413_051,
+               318_665_857_834_031_151_167_461]
+        assert not any(is_prime(n) for n in psi)
+        assert psi[-1] == 399_165_290_221 * 798_330_580_441
+        with pytest.raises(DomainError):
+            kronecker(5, psi[-1])
+        # psi_13: no base set is proven from here on
+        with pytest.raises(DomainError):
+            is_prime(3_317_044_064_679_887_385_961_981)
 
 
 class TestPsiExact:
