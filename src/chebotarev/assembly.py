@@ -681,10 +681,6 @@ def diff_table(table: Table) -> list[CellDiff]:
 # headline corollary constants
 # --------------------------------------------------------------------------
 
-def _floor_dec(v: float, dec: int) -> float:
-    return math.floor(v * 10.0**dec) / 10.0**dec
-
-
 def corollary_constants() -> dict[str, dict[str, float]]:
     """Headline constants of the four numerical corollaries.
 
@@ -702,20 +698,24 @@ def corollary_constants() -> dict[str, dict[str, float]]:
     worst_exp_half = min(_finals_cached(n0, True).exp_coeff_half for n0 in pv.TABLE6)
     full2 = classical_constants(f2, ClassicalBranch.FULL)
     refined_top = classical_constants(_finals_cached(_TOP_N0, True), ClassicalBranch.REFINED)
+    # each exponent coefficient's exact value, floored at three decimals
+    decay, decay_general, decay_refined = (
+        float(pv.round_like(v, "0.000", "down"))
+        for v in (1.0 / math.sqrt(R2), f2.exp_coeff_full, worst_exp_half))
 
     return {
         "exp": {
             "threshold": float(math.ceil(f2.alpha)),
             "general": f2.E3_tilde,
             "refined": f2.E3,
-            "decay": _floor_dec(1.0 / math.sqrt(R2), 3),
+            "decay": decay,
         },
         "log": {"general": f2.D3_tilde, "refined": f2.D3},
         "classical": {
             "general": f2.C12,
             "refined": f2.C3,
-            "decay_general": _floor_dec(f2.exp_coeff_full, 3),
-            "decay_refined": _floor_dec(worst_exp_half, 3),
+            "decay_general": decay_general,
+            "decay_refined": decay_refined,
         },
         "absolute": {
             "threshold": float(math.ceil(full2.c0)),

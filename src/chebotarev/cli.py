@@ -97,14 +97,14 @@ def _emit_record(payload: dict, lines: list[str], args: argparse.Namespace) -> N
 
 
 def _table_rows(table: Table, published_style: bool) -> list[list[str]]:
-    from .reference_values import round_up_like
+    from .reference_values import published_direction, round_like
 
     rows = []
     for label, crow, prow in zip(table.labels, table.computed, table.printed):
         cells = []
-        for c, p in zip(crow, prow):
+        for col, c, p in zip(table.columns[1:], crow, prow):
             if published_style and p is not None and c is not None:
-                cells.append(round_up_like(c, p))
+                cells.append(round_like(c, p, published_direction(table.table_id, col)))
             else:
                 cells.append(_fmt(c))
         rows.append([label] + cells)
@@ -249,8 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables.add_argument("--diff", action="store_true", help="report every cell, not just mismatches")
     p_tables.add_argument(
         "--published-style", action="store_true",
-        help="round each cell up at its column's published digit count "
-             "instead of printing six significant digits",
+        help="print each cell at its column's published digits instead of six "
+             "significant digits: computed cells round up exactly, and the "
+             "columns copied from the paper (table 3's d0 and M, table 4's "
+             "delta0, table 7's b0) round to nearest",
     )
     p_tables.set_defaults(func=cmd_tables)
 

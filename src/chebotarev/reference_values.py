@@ -21,18 +21,34 @@ instead.  Why is still open (ROADMAP item 5): a0 recomputed from table
 6's printed, already-rounded inputs is off by up to 1 260 last-digit
 units on table 7 and 1 661 on table 8, so input rounding does not
 explain their gap to a full-precision recomputation.
+
+One exact reader serves both the band and the published-style output: a
+cell is read as a decimal.  The band works out its edges exactly from it,
+and round_like rounds a float's exact binary value at its last digit, so
+a value a hair past a printed boundary is never taken for the boundary
+itself.  round_like rounds up a computed bound, down an exponent
+coefficient (the corollaries floor them) and to nearest the columns in
+INPUT_COLUMNS, which the paper supplies rather than bounds.
+parse_printed is not correctly rounded, and stays only because DELTA0 is
+parsed with it: the constants computed from those delta0 bits are
+recorded in the benchmark goldens.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
+
+from .errors import DomainError
 
 __all__ = [
     "parse_printed",
     "last_digit_unit",
     "matches_printed",
-    "round_up_like",
+    "round_like",
+    "INPUT_COLUMNS",
+    "published_direction",
     "TABLE1_ALPHA0",
     "TABLE2_OMEGA_TO_T",
     "TABLE2_T_TO_OMEGA",
@@ -58,40 +74,59 @@ def parse_printed(s: str) -> float:
     return float(s)
 
 
-def _digits(s: str) -> tuple[int, int, bool]:
-    """(decimal places of the mantissa, decimal exponent, scientific?) of a
-    printed cell."""
+# wide enough that every operation on a double's exact decimal value is exact
+_EXACT = Context(prec=MAX_PREC)
+
+
+def _read(s: str) -> tuple[Decimal, int, int, bool]:
+    """A printed cell exactly: (its decimal value, whose exponent is that of
+    the last printed digit; the mantissa's decimal places; the decimal
+    exponent; scientific?)."""
     m = _SCI.match(s)
     mant, exp = (m.group(1), int(m.group(2))) if m else (s.strip(), 0)
-    return (len(mant.split(".")[1]) if "." in mant else 0), exp, m is not None
+    decimals = len(mant.split(".")[1]) if "." in mant else 0
+    return Decimal(mant).scaleb(exp, _EXACT), decimals, exp, m is not None
 
 
 def last_digit_unit(s: str) -> float:
     """One unit in the last printed digit of the cell string."""
-    decimals, exp, _ = _digits(s)
+    _, decimals, exp, _ = _read(s)
     return 10.0 ** (exp - decimals)
 
 
 def matches_printed(computed: float, printed: str, rel_tol: float | None = None) -> bool:
     """Accept computed against a printed cell.
 
-    Default policy is the band printed - 2u < computed < printed + 2u;
-    a relative tolerance replaces it when given.
+    Default policy is the open band printed - 2u < computed < printed + 2u;
+    a relative tolerance replaces it with the closed band
+    |computed - printed| <= rel_tol |printed| when given.  Each edge is
+    worked out exactly from the printed decimal, then rounded once to the
+    nearest double, so the double that stands for an edge (40.1780 against
+    40.1778) lies on it, outside the open band.  A NaN matches nothing.
     """
-    target = parse_printed(printed)
-    if rel_tol is not None:
-        return abs(computed - target) <= rel_tol * abs(target)
-    u = last_digit_unit(printed)
-    return target - 2.0 * u < computed < target + 2.0 * u
+    target, decimals, exp, _ = _read(printed)
+    if rel_tol is None:
+        half = Decimal(2).scaleb(exp - decimals)
+    else:
+        half = _EXACT.multiply(Decimal(rel_tol), abs(target))
+    lo, hi = float(_EXACT.subtract(target, half)), float(_EXACT.add(target, half))
+    return lo < computed < hi if rel_tol is None else lo <= computed <= hi
 
 
-def round_up_like(value: float, template: str) -> str:
-    """Round value UP at the precision of the template cell and format it
-    in the same style (plain or scientific)."""
-    decimals, exp, sci = _digits(template)
-    # a plain cell has exp 0, and dividing by 10.0**0 is exact
-    up = math.ceil(value / 10.0**exp * 10.0**decimals - 1e-9) / 10.0**decimals
-    return f"{up:.{decimals}f}" + (f"E{exp:+03d}" if sci else "")
+_ROUNDING = {"up": ROUND_CEILING, "down": ROUND_FLOOR, "nearest": ROUND_HALF_EVEN}
+
+
+def round_like(value: float, template: str, direction: str) -> str:
+    """The exact binary value of value rounded at the last printed digit of
+    the template cell, 'up', 'down' or to 'nearest' (ties to even), in the
+    template's style (plain or scientific)."""
+    if direction not in _ROUNDING:
+        raise DomainError(f"direction must be one of {tuple(_ROUNDING)}, got {direction!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"only a finite value can be printed, got {value}")
+    unit, decimals, exp, sci = _read(template)
+    mant = Decimal(value).quantize(unit, _ROUNDING[direction], _EXACT).scaleb(-exp, _EXACT)
+    return f"{mant:.{decimals}f}" + (f"E{exp:+03d}" if sci else "")
 
 
 # Tables with a plain round-up band; ids 7 and 8 use this relative
@@ -233,6 +268,19 @@ DELTA0: dict[tuple[int, bool], float] = {
     for n0, states in TABLE4.items()
     for present in (True, False)
 }
+
+# The columns the paper supplies as inputs rather than bounds, by table id:
+# table 3's Minkowski rows (d0, M) above, table 4's delta0 (DELTA0 above)
+# and table 7's b0 (the per-degree and range rows below).  Published-style
+# output prints them to nearest; every computed cell rounds up.
+INPUT_COLUMNS: dict[int, tuple[str, ...]] = {3: ("d0", "M"), 4: ("delta0",), 7: ("b0",)}
+
+
+def published_direction(table_id: int, column: str) -> str:
+    """round_like's direction for a cell of a table column ('delta0
+    [present]' is column delta0): nearest for an input, up for a bound."""
+    return "nearest" if column.split(" [")[0] in INPUT_COLUMNS.get(table_id, ()) else "up"
+
 
 # --- log-form constants (k = 1) --------------------------------------------
 # n0 -> (alpha, (D12, N0, D3, D3~) present, (D12, N0, D3, D3~) absent)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -84,6 +85,17 @@ class ConjugacyClass(enum.Enum):
     NONTRIVIAL = "nontrivial"
 
 
+def _whole(n: object, what: str) -> int:
+    """n as an int: an int, a numpy integer or an integral float such as
+    1e6.  Anything else (10.5, a NaN, an infinity, '5') is a DomainError."""
+    if isinstance(n, float) and n.is_integer():
+        return int(n)
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
+
+
 def _squarefree(n: int) -> bool:
     """True when no prime square divides n.  Trial division stops once
     d^3 > n: what is left of n then has no prime factor below d, so it has
@@ -104,7 +116,11 @@ def _squarefree(n: int) -> bool:
 
 def is_fundamental_discriminant(D: int) -> bool:
     """True for D = 1 mod 4 squarefree (D != 1), or D = 4d with
-    d = 2, 3 mod 4 squarefree.  DomainError for |D| > MAX_ABS_DISC."""
+    d = 2, 3 mod 4 squarefree.  DomainError for |D| > MAX_ABS_DISC, and for
+    a D that is not an int or a numpy integer: a discriminant is a key, so
+    5.0 is not one."""
+    if not isinstance(D, (int, np.integer)):
+        raise DomainError(f"D must be an integer, got {D!r}")
     if abs(D) > MAX_ABS_DISC:
         raise DomainError(f"|D| must be at most {MAX_ABS_DISC:.0e}, got {D}")
     if D in (0, 1):
@@ -372,7 +388,9 @@ def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def primes_up_to(n: int) -> np.ndarray:
-    """All primes <= n, ascending, via a segmented sieve of Eratosthenes."""
+    """All primes <= n, ascending, via a segmented sieve of Eratosthenes.
+    n is an integer; an integral float such as 1e6 counts as one."""
+    n = _whole(n, "n")
     chunks = [primes for _, primes in _segments([n])] if n > 1 else []
     return np.concatenate([np.empty(0, dtype=np.int64), *chunks])
 
@@ -393,9 +411,10 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
     the order given, from one ascending pass of the segmented sieve.
 
     limit caps every x; None means DEFAULT_SIEVE_LIMIT.  This is the one
-    place the cap is resolved and range-checked: outside
-    1 .. MAX_SIEVE_LIMIT it is a DomainError, and an x above it a
-    ResourceError, both before anything is sieved.
+    place the cap is resolved and range-checked: a limit that is not an
+    integer (an integral float counts) or lies outside 1 .. MAX_SIEVE_LIMIT
+    is a DomainError, and an x above it a ResourceError, both before
+    anything is sieved.
 
     Every log p lies in [log 2, 32) and is a multiple of 2^-53, so the sums
     run exactly on integers in units of 2^-53, each in the ledger slot of
@@ -407,7 +426,7 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
             raise DomainError(f"x must be finite and >= 1, got {x}")
     if not xs:
         return []
-    lim = DEFAULT_SIEVE_LIMIT if limit is None else limit
+    lim = DEFAULT_SIEVE_LIMIT if limit is None else _whole(limit, "the sieve limit")
     if not 1 <= lim <= MAX_SIEVE_LIMIT:
         raise DomainError(f"the sieve limit must be a positive integer at most "
                           f"{MAX_SIEVE_LIMIT} (2^46), got {lim}")

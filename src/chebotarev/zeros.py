@@ -84,8 +84,8 @@ def c123(a: float, eps: float, T: float) -> tuple[float, float, float]:
         c2 = c1 log(2 + eps + |T|) + 2 c1 (1/eps + 539/268),
         c3 = 2 c1 ((1+eps)/sqrt((1+eps)^2+T^2) + eps/sqrt(eps^2+T^2)).
     """
-    if not (a > 0 and 0 < eps < math.inf) or math.isnan(T):
-        raise DomainError(f"need a > 0, finite eps > 0 and a number T, got a={a}, eps={eps}, T={T}")
+    if not (a > 0 and 0 < eps < math.inf and math.isfinite(T)):
+        raise DomainError(f"need a > 0, finite eps > 0 and finite T, got a={a}, eps={eps}, T={T}")
     one = 1.0 + eps
     c1 = (one * one + a * a) / (2.0 * eps)
     c2 = c1 * math.log(2.0 + eps + abs(T)) + 2.0 * c1 * (1.0 / eps + 539.0 / 268.0)
@@ -167,6 +167,13 @@ def alpha0(T: float, row: MinkowskiRow) -> float:
     return _alpha0_cached(float(T), row.M, row.log_d0)
 
 
+def _finite(value: float, what: str) -> float:
+    """value, if finite: an input whose answer overflows is a DomainError."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is not finite (got {value})")
+    return value
+
+
 def alpha0_prime(T: float, row: MinkowskiRow) -> float:
     """Counting-theorem coefficient: N_L(T) <= alpha0_prime(T) log d_L.
 
@@ -175,12 +182,13 @@ def alpha0_prime(T: float, row: MinkowskiRow) -> float:
     """
     if not T >= 1:
         raise DomainError(f"T must be >= 1, got {T}")
-    return (
+    return _finite(
         T / math.pi
         + ALPHA1
         + row.M
         * ((T / math.pi) * math.log(T / (2 * math.pi * math.e)) + ALPHA1 * math.log(T) + ALPHA2)
-        + ALPHA3 / row.log_d0
+        + ALPHA3 / row.log_d0,
+        f"alpha0_prime at T={T}",
     )
 
 
@@ -213,7 +221,7 @@ def P_E_L(T: float, field: FieldParams) -> tuple[float, float]:
         raise DomainError(f"T must be >= 1, got {T}")
     P = (T / math.pi) * (field.log_dL + field.n_L * math.log(T / (2 * math.pi * math.e)))
     E = ALPHA1 * (field.log_dL + field.n_L * math.log(T)) + ALPHA2 * field.n_L + ALPHA3
-    return P, E
+    return _finite(P, f"P_L at T={T}"), _finite(E, f"E_L at T={T}")
 
 
 def Q_kernel(u: float, t: float, field: FieldParams) -> float:
@@ -227,12 +235,13 @@ def Q_kernel(u: float, t: float, field: FieldParams) -> float:
     n = field.n_L
     ld = field.log_delta_L
     l2pe = math.log(2 * math.pi * math.e)
-    return (
+    return _finite(
         (n * u / math.pi) * (ld + math.log(u) - l2pe)
         - (n * t / math.pi) * (ld + math.log(t) - l2pe)
         + 2 * ALPHA1 * n * (ld + 0.5 * math.log(u * t))
         + 2 * ALPHA2 * n
-        + 2 * ALPHA3
+        + 2 * ALPHA3,
+        f"Q at u={u}, t={t}",
     )
 
 
@@ -241,7 +250,8 @@ def Q_kernel_partial_u(u: float, field: FieldParams) -> float:
     if not u > 0:
         raise DomainError(f"u must be positive, got {u}")
     n = field.n_L
-    return (n / math.pi) * (field.log_delta_L + math.log(u) - math.log(2 * math.pi)) + ALPHA1 * n / u
+    return _finite((n / math.pi) * (field.log_delta_L + math.log(u) - math.log(2 * math.pi))
+                   + ALPHA1 * n / u, f"dQ/du at u={u}")
 
 
 def solve_omega0(t0: float) -> float:

@@ -28,9 +28,10 @@ from chebotarev import (
     standard_config,
 )
 from chebotarev.assembly import (_PUBLISHED_B0, B0_FULL, B0_REFINED, _decayed, _delta0_interval,
-                                 _finals_cached, _floor_dec, classical_a0_grid)
+                                 _finals_cached, classical_a0_grid)
 from chebotarev.constants import compute_ells
-from chebotarev.reference_values import DELTA0, TABLE7_RANGE, matches_printed, parse_printed
+from chebotarev.reference_values import (DELTA0, TABLE7_RANGE, matches_printed, parse_printed,
+                                         round_like)
 from chebotarev.zeros import R2
 
 
@@ -596,10 +597,12 @@ class TestCorollaries:
 
     def test_floor_dec_stays_at_or_below_its_argument(self):
         # an exponent coefficient is floored: a value just below a printed
-        # boundary must not be rounded up onto it
+        # boundary must not be rounded up onto it, and the double 0.3 is
+        # itself below 3/10
         below = math.nextafter(0.3, 0)
-        assert _floor_dec(below, 3) == 0.299
-        assert _floor_dec(0.3, 3) == 0.3
+        assert round_like(below, "0.000", "down") == "0.299"
+        assert round_like(0.3, "0.000", "down") == "0.299"
+        assert round_like(math.nextafter(0.3, 1), "0.000", "down") == "0.300"
 
     def test_absolute_form(self):
         got = corollary_constants()["absolute"]

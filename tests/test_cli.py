@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebotarev import BoundForm, cli
+from chebotarev import BoundForm, cli, generate_table
 from chebotarev import reference_values as pv
 
 
@@ -78,6 +78,16 @@ class TestTablesCommand:
         assert code == 0
         assert "2.26E-03" in out  # delta0 keeps the published scientific style
         assert "2.003" in out     # N0 rounded up at three decimals
+
+    def test_published_style_inputs_print_as_published(self, capsys):
+        # the double nearest 1.82048 lies above it, so only the nearest rule
+        # gives table 3's M back; every input column names a real column
+        code, out, _ = run(capsys, "tables", "--id", "3", "--format", "csv", "--published-style")
+        assert code == 0
+        assert out.splitlines()[1] == "2,3,1.82048"
+        for table_id, names in pv.INPUT_COLUMNS.items():
+            columns = {c.split(" [")[0] for c in generate_table(table_id).columns}
+            assert set(names) <= columns, table_id
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "t1.csv"

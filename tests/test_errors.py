@@ -11,6 +11,7 @@ from chebotarev import (
     FieldParams,
     P_E_L,
     QuadraticField,
+    Q_kernel,
     Q_kernel_partial_u,
     RegimeThreshold,
     SmoothingParams,
@@ -36,6 +37,7 @@ from chebotarev import (
     weight_h,
 )
 from chebotarev.smoothing import _MAX_ORDER
+from chebotarev.verifier import primes_up_to, psi_pair
 
 nan, inf = math.nan, math.inf
 ROW = minkowski_lookup(2)
@@ -116,6 +118,18 @@ def _cases():
     yield "classical_constants-refined-b0", classical_constants, (finals, "refined", 0.2)
     yield "classical_constants-refined", classical_constants, (finals, "refined")
     yield "SmoothingParams-upper", SmoothingParams, (2, 0.3, "upper")
+    yield "primes_up_to-10.5", primes_up_to, (10.5,)  # was TypeError
+    yield "primes_up_to-nan", primes_up_to, (nan,)  # was an empty array
+    yield "QuadraticField-5.0", QuadraticField, (5.0,)  # was TypeError
+    yield "QuadraticField-str", QuadraticField, ("5",)  # was TypeError
+    yield "psi_pair-limit-2000.5", psi_pair, (QuadraticField(5), 1e3, 2000.5)  # was accepted
+    # non-finite answers, which used to come back as inf
+    for T in (1e308, inf):
+        yield f"alpha0_prime-{T}", alpha0_prime, (T, ROW)
+    yield "P_E_L-inf", P_E_L, (inf, FIELD)
+    yield "Q_kernel-inf", Q_kernel, (inf, 1.0, FIELD)
+    yield "Q_kernel_partial_u-inf", Q_kernel_partial_u, (inf, FIELD)
+    yield "c123-T-inf", c123, (1.0, 1.0, inf)  # was c2 = inf
 
 
 CASES = list(_cases())

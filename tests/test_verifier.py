@@ -263,6 +263,11 @@ class TestPrimeInfrastructure:
         for n in [*range(1, 201), 1000]:
             assert primes_up_to(n).tolist() == [p for p in primes if p <= n], n
 
+    def test_integral_float_counts_as_an_integer(self):
+        assert primes_up_to(30.0).tolist() == primes_up_to(30).tolist()
+        field = QuadraticField(5)
+        assert psi_pair(field, 1e3, limit=2000.0) == psi_pair(field, 1e3, limit=2000)
+
     def test_segmented_consistency(self, monkeypatch):
         # crossing a segment boundary changes nothing; grid points cut
         # segments narrower than some base primes (the range (24, 25]); the
