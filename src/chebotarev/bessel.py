@@ -33,7 +33,7 @@ from dataclasses import dataclass
 # perfbench/worker.py's traced probe still imports the tail constants from here
 from .constants import ell6, ell7  # noqa: F401
 from .errors import DomainError, NumericError
-from .zeros import _bisect
+from .zeros import _bisect, _finite
 
 __all__ = ["bessel_K", "bessel_I", "k2_upper_bound", "BesselArgs", "RegimeThreshold"]
 
@@ -99,16 +99,24 @@ def bessel_I(n: float, m: float, alpha: float, beta: float, l: float) -> float:
         raise DomainError(f"need beta*l > 1, got beta*l = {beta * l}")
     z = 2.0 * math.sqrt(alpha * m)
     y = math.sqrt(m / alpha) * math.log(beta * l)
-    return 2.0 * beta**m * (alpha / m) ** (n / 2.0) * bessel_K(n, z, y)
+    try:
+        value = 2.0 * beta**m * (alpha / m) ** (n / 2.0) * bessel_K(n, z, y)
+    except OverflowError:
+        value = math.inf
+    return _finite(value, f"I_{n},{m}({alpha}, {beta}; {l})")
 
 
 def k2_upper_bound(z: float) -> float:
     """Rosser-Schoenfeld bound on K_2(z, w), uniform in w on [0, sqrt(1/2))."""
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    return math.sqrt(math.pi / 2.0) * math.exp(-z) / math.sqrt(z) * (
-        1.0 + 15.0 / (8.0 * z) + 105.0 / (128.0 * z * z)
-    )
+    try:
+        bound = math.sqrt(math.pi / 2.0) * math.exp(-z) / math.sqrt(z) * (
+            1.0 + 15.0 / (8.0 * z) + 105.0 / (128.0 * z * z)
+        )
+    except ZeroDivisionError:  # z * z below the doubles
+        bound = math.inf
+    return _finite(bound, f"the K_2 bound at z={z}")
 
 
 @dataclass(frozen=True)
@@ -132,7 +140,7 @@ class BesselArgs:
             raise DomainError("m, log_x, R2_L and T must be positive, log_delta_L a number")
         z = 2.0 * math.sqrt(m * log_x / R2_L)
         w = math.sqrt(m * R2_L / log_x) * (log_delta_L + math.log(T))
-        return cls(z, w)
+        return cls(_finite(z, "z_m"), _finite(w, "w_m"))
 
     def in_decay_regime(self, m: int) -> bool:
         return self.w_m < math.sqrt(m / (m + 1.0))
@@ -159,7 +167,7 @@ class RegimeThreshold:
         lg = log_delta_L + math.log(T)
         X = (m + 1.0) * R2_L * lg * lg
         W_log = -log_delta_L + math.sqrt(log_x / (R2_L * (m + 1.0)))
-        return cls(X, W_log)
+        return cls(_finite(X, "X_LmT"), _finite(W_log, "log W"))
 
     def large_x(self, log_x: float) -> bool:
         return log_x > self.X_LmT

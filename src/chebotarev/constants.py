@@ -31,7 +31,7 @@ from typing import ClassVar
 from .errors import DomainError
 from .invariants import MinkowskiRow, _require_degree
 from .smoothing import m_bound
-from .zeros import ALPHA1, ALPHA2, ALPHA3, R1, R2, alpha0, alpha0_prime
+from .zeros import ALPHA1, ALPHA2, ALPHA3, R1, R2, _finite, alpha0, alpha0_prime
 
 __all__ = ["TuningConfig", "EllConstants", "alpha_coefficient", "ell_low", "ell6", "ell7",
            "compute_ells", "y0", "y0_terms"]
@@ -41,10 +41,16 @@ def alpha_coefficient(M: float, t0: float) -> float:
     """Range coefficient alpha = max(4 R1^2/R2 ((log 4) M + 1)^2,
     4 R2 ((log t0) M + 1)^2); the bounds then require
     log x >= alpha m n_L (log Delta_L)^2."""
-    return max(
-        4.0 * R1 * R1 / R2 * (math.log(4.0) * M + 1.0) ** 2,
-        4.0 * R2 * (math.log(t0) * M + 1.0) ** 2,
-    )
+    if not (M > 0 and t0 > 0):
+        raise DomainError(f"M and t0 must be positive, got {M}, {t0}")
+    try:
+        alpha = max(
+            4.0 * R1 * R1 / R2 * (math.log(4.0) * M + 1.0) ** 2,
+            4.0 * R2 * (math.log(t0) * M + 1.0) ** 2,
+        )
+    except OverflowError:
+        alpha = math.inf
+    return _finite(alpha, f"alpha at M={M}, t0={t0}")
 
 
 @dataclass(frozen=True)
@@ -195,10 +201,11 @@ def ell6(m: int, M: float, T0: float) -> float:
     if not T0 > 4:
         raise DomainError(f"T0 must exceed 4, got {T0}")
     lt = math.log(T0)
-    return (
+    return _finite(
         (M + 1.0 / lt) / (m * math.pi)
         + 2.0 * M * ALPHA1 / T0
-        + (2.0 * ALPHA1 + M * (ALPHA1 / (m + 1.0) + 2.0 * ALPHA2 + ALPHA3)) / (lt * T0)
+        + (2.0 * ALPHA1 + M * (ALPHA1 / (m + 1.0) + 2.0 * ALPHA2 + ALPHA3)) / (lt * T0),
+        f"ell6 at m={m}, M={M}, T0={T0}",
     )
 
 
@@ -223,16 +230,21 @@ def ell7(m: int, M: float, R2: float, T0: float, omega0: float, x0_log: float, n
         raise DomainError(f"x0_log must be positive, got {x0_log}")
     _require_degree(n0)
     lt = math.log(T0)
-    margin = ((2 * m + 1) / math.sqrt(m + 1.0) - 2.0 * math.sqrt(m)) * math.sqrt(
-        (m + 1.0) * (1.0 / M + lt)
-    )
-    first = (omega0 / (math.pi * math.sqrt(R2 * (m + 1.0)))) * x0_log ** (-0.25) * math.exp(-margin)
-    second = (2.0 * n0 ** (-0.25) / (math.sqrt(math.pi) * m**1.25 * R2**0.75)) * (
-        1.0
-        + 15.0 / (16.0 * math.sqrt(m * (m + 1.0)) * (1.0 / M + lt))
-        + 105.0 / (512.0 * m * (m + 1.0) * (1.0 / M + lt) ** 2)
-    )
-    return first + second
+    try:
+        margin = ((2 * m + 1) / math.sqrt(m + 1.0) - 2.0 * math.sqrt(m)) * math.sqrt(
+            (m + 1.0) * (1.0 / M + lt)
+        )
+        first = (omega0 / (math.pi * math.sqrt(R2 * (m + 1.0)))) * x0_log ** (-0.25)
+        first *= math.exp(-margin)
+        second = (2.0 * n0 ** (-0.25) / (math.sqrt(math.pi) * m**1.25 * R2**0.75)) * (
+            1.0
+            + 15.0 / (16.0 * math.sqrt(m * (m + 1.0)) * (1.0 / M + lt))
+            + 105.0 / (512.0 * m * (m + 1.0) * (1.0 / M + lt) ** 2)
+        )
+        l7 = first + second
+    except OverflowError:  # a power past the doubles, such as (1/M + log T0)^2
+        l7 = math.inf
+    return _finite(l7, f"ell7 at m={m}, M={M}, R2={R2}, omega0={omega0}")
 
 
 def compute_ells(cfg: TuningConfig) -> EllConstants:

@@ -43,8 +43,9 @@ class MinkowskiRow:
 
 
 # (n_0, d_0, M) rows, degree 2 through 21, as printed in table 3.  float()
-# parses a cell correctly rounded; parse_printed does not, and would move
-# the d_0 of rows 12 and 19 by an ulp.  The top row covers every degree
+# parses a cell correctly rounded; reference_values._legacy_double (the
+# mantissa's double times 10.0 ** exp) does not, and would move the d_0 of
+# rows 12 and 19 by an ulp.  The top row covers every degree
 # n_L >= n_0 with d_0 = 10^(n_L), so its log d_0 is n_0 log(10), not the
 # log of its printed 1E21.
 _TOP_N0 = max(TABLE3_MINKOWSKI)

@@ -17,10 +17,13 @@ recomputed value v is accepted within the symmetric band
 
 That is still a relative agreement of a few parts in 10^6 for most cells.
 The (a0, b0, c0) tables 7 and 8 use a relative tolerance of 1e-2
-instead.  Why is still open (ROADMAP item 5): a0 recomputed from table
-6's printed, already-rounded inputs is off by up to 1 260 last-digit
-units on table 7 and 1 661 on table 8, so input rounding does not
-explain their gap to a full-precision recomputation.
+instead.  For c0 the cause is known: each printed c0 is table 6's
+printed alpha over n0^2 (n0 = 21 on the range rows), within one
+last-digit unit, not the exact value the package computes.  For a0 it is
+still open (ROADMAP item 6): a0 recomputed from table 6's printed,
+already-rounded inputs is off by up to 1 260 last-digit units on table 7
+and 1 661 on table 8, so input rounding does not explain their gap to a
+full-precision recomputation.
 
 One exact reader serves both the band and the published-style output: a
 cell is read as a decimal.  The band works out its edges exactly from it,
@@ -28,10 +31,8 @@ and round_like rounds a float's exact binary value at its last digit, so
 a value a hair past a printed boundary is never taken for the boundary
 itself.  round_like rounds up a computed bound, down an exponent
 coefficient (the corollaries floor them) and to nearest the columns in
-INPUT_COLUMNS, which the paper supplies rather than bounds.
-parse_printed is not correctly rounded, and stays only because DELTA0 is
-parsed with it: the constants computed from those delta0 bits are
-recorded in the benchmark goldens.
+INPUT_COLUMNS, which the paper supplies rather than bounds.  _read is
+the only parser of the printed syntax; DELTA0 builds its doubles from it.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Conte
 from .errors import DomainError
 
 __all__ = [
-    "parse_printed",
-    "last_digit_unit",
     "matches_printed",
     "round_like",
     "INPUT_COLUMNS",
@@ -66,14 +65,6 @@ __all__ = [
 _SCI = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?)\s*[eE]\s*([+-]?\d+)\s*$")
 
 
-def parse_printed(s: str) -> float:
-    """Parse a printed cell like '40.1778', '2.26E-03' or '1.0073 E4'."""
-    m = _SCI.match(s)
-    if m:
-        return float(m.group(1)) * 10.0 ** int(m.group(2))
-    return float(s)
-
-
 # wide enough that every operation on a double's exact decimal value is exact
 _EXACT = Context(prec=MAX_PREC)
 
@@ -88,10 +79,10 @@ def _read(s: str) -> tuple[Decimal, int, int, bool]:
     return Decimal(mant).scaleb(exp, _EXACT), decimals, exp, m is not None
 
 
-def last_digit_unit(s: str) -> float:
-    """One unit in the last printed digit of the cell string."""
-    _, decimals, exp, _ = _read(s)
-    return 10.0 ** (exp - decimals)
+def _legacy_double(cell: str) -> float:
+    """A cell's mantissa as a double times 10.0 ** exp: not correctly rounded."""
+    value, _, exp, _ = _read(cell)
+    return float(value.scaleb(-exp, _EXACT)) * 10.0 ** exp
 
 
 def matches_printed(computed: float, printed: str, rel_tol: float | None = None) -> bool:
@@ -262,9 +253,12 @@ TABLE4: dict[int, tuple[str, str, tuple[str, ...], tuple[str, ...]]] = {
         ("0.99999", "5.4400E-04", "519.59", "0.12054", "5.4400E-04")),
 }
 
-# delta0 per (row, beta0 state), parsed from the table above.
+# delta0 per (row, beta0 state), read from the table above.  The benchmark
+# goldens record the constants computed from these bits, which
+# _legacy_double makes; float() of the cell replaces it once they are
+# re-recorded (10 of the 40 move by an ulp).
 DELTA0: dict[tuple[int, bool], float] = {
-    (n0, present): parse_printed(states[2 if present else 3][0])
+    (n0, present): _legacy_double(states[2 if present else 3][0])
     for n0, states in TABLE4.items()
     for present in (True, False)
 }

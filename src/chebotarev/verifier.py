@@ -179,8 +179,10 @@ def is_prime(n: int) -> bool:
     Exact for n < psi_13 = 3 317 044 064 679 887 385 961 981 (about
     3.3e24), which takes all 13 bases 2..41; every n below the sieve cap
     2^46 needs at most 7.  No base set is proven at or above psi_13, so
-    there it raises DomainError.
+    there it raises DomainError, as it does for n neither an integer nor
+    an integral float.
     """
+    n = _whole(n, "n")
     if n < 2:
         return False
     if n >= _MR_PSI[-1]:
@@ -207,9 +209,11 @@ def is_prime(n: int) -> bool:
 
 def kronecker(D: int, p: int) -> int:
     """Artin symbol of the prime p in Q(sqrt(D))/Q, as the Kronecker
-    symbol (D/p): 0 ramified, +1 split, -1 inert."""
+    symbol (D/p): 0 ramified, +1 split, -1 inert.  p is an integer or an
+    integral float."""
     if not is_fundamental_discriminant(D):
         raise DomainError(f"{D} is not a fundamental discriminant")
+    p = _whole(p, "p")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     return kronecker_symbol(D, p)

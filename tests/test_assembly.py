@@ -30,8 +30,7 @@ from chebotarev import (
 from chebotarev.assembly import (_PUBLISHED_B0, B0_FULL, B0_REFINED, _decayed, _delta0_interval,
                                  _finals_cached, classical_a0_grid)
 from chebotarev.constants import compute_ells
-from chebotarev.reference_values import (DELTA0, TABLE7_RANGE, matches_printed, parse_printed,
-                                         round_like)
+from chebotarev.reference_values import DELTA0, TABLE7_RANGE, matches_printed, round_like
 from chebotarev.zeros import R2
 
 
@@ -273,7 +272,7 @@ class TestBoundEval:
         assert rep.applicable and rep.refined_used
         lam = lambda_L(field, 1)
         expected = (
-            parse_printed("0.31501")
+            float("0.31501")
             * math.sqrt(lam)
             * math.sqrt(4000.0)
             * math.exp(-math.sqrt(4000.0 / 2) / math.sqrt(R2))

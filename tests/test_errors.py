@@ -17,6 +17,7 @@ from chebotarev import (
     SmoothingParams,
     alpha0_prime,
     bound_eval,
+    bessel_I,
     c123,
     classical_constants,
     curly_N0,
@@ -24,6 +25,7 @@ from chebotarev import (
     ell7,
     final_constants,
     k2_upper_bound,
+    kronecker,
     lambda_0,
     lambda_L,
     m_bound,
@@ -36,8 +38,9 @@ from chebotarev import (
     weight_g,
     weight_h,
 )
+from chebotarev.constants import alpha_coefficient
 from chebotarev.smoothing import _MAX_ORDER
-from chebotarev.verifier import primes_up_to, psi_pair
+from chebotarev.verifier import is_prime, primes_up_to, psi_pair
 
 nan, inf = math.nan, math.inf
 ROW = minkowski_lookup(2)
@@ -130,6 +133,22 @@ def _cases():
     yield "Q_kernel-inf", Q_kernel, (inf, 1.0, FIELD)
     yield "Q_kernel_partial_u-inf", Q_kernel_partial_u, (inf, FIELD)
     yield "c123-T-inf", c123, (1.0, 1.0, inf)  # was c2 = inf
+    # formulas whose answer left the doubles
+    yield "k2_upper_bound-1e-300", k2_upper_bound, (1e-300,)  # was ZeroDivisionError
+    yield "alpha_coefficient-1e300", alpha_coefficient, (1e300, 40.0)  # was OverflowError
+    yield "alpha_coefficient-nan", alpha_coefficient, (nan, 40.0)  # was nan
+    yield "ell7-M-1e-300", ell7, {**ELL7, "M": 1e-300}  # was OverflowError
+    yield "ell6-M-inf", ell6, (1, inf, 40.0)  # was inf
+    yield "ell7-omega0-inf", ell7, {**ELL7, "omega0": inf}  # was inf
+    yield "bessel_I-alpha-inf", bessel_I, (2.0, 1.0, inf, 2.0, 2.0)  # was nan
+    # were w_m = inf and X_LmT = inf
+    yield "BesselArgs-log_delta_L-inf", BesselArgs.from_parameters, {**REGIME, "log_delta_L": inf}
+    yield ("RegimeThreshold-log_delta_L-1e300", RegimeThreshold.from_parameters,
+           {**REGIME, "log_delta_L": 1e300})
+    # were TypeError from inside pow
+    yield "is_prime-2.5", is_prime, (2.5,)
+    yield "is_prime-nan", is_prime, (nan,)
+    yield "kronecker-2.5", kronecker, (5, 2.5)
 
 
 CASES = list(_cases())

@@ -8,12 +8,8 @@ import pytest
 
 from chebotarev import reference_values as pv
 from chebotarev.errors import DomainError
-from chebotarev.reference_values import (
-    last_digit_unit,
-    matches_printed,
-    parse_printed,
-    round_like,
-)
+from chebotarev.reference_values import (DELTA0, TABLE4, TABLE6, TABLE7_PER_DEGREE, TABLE7_RANGE,
+                                         TABLE8, _read, matches_printed, round_like)
 
 
 class TestParsing:
@@ -29,7 +25,8 @@ class TestParsing:
         ],
     )
     def test_parse(self, text, value):
-        assert parse_printed(text) == value
+        # the exact reader's decimal rounds to the double float() gives
+        assert float(_read(text)[0]) == value
 
     @pytest.mark.parametrize(
         "text,unit",
@@ -44,7 +41,20 @@ class TestParsing:
         ],
     )
     def test_last_digit_unit(self, text, unit):
-        assert last_digit_unit(text) == pytest.approx(unit, rel=1e-12)
+        # the reader's decimal carries the last printed digit's exponent,
+        # which round_like quantizes at and matches_printed's band scales
+        value, decimals, exp, _ = _read(text)
+        assert value.as_tuple().exponent == exp - decimals
+        assert Decimal(1).scaleb(exp - decimals) == Decimal(repr(unit))
+
+    def test_delta0_legacy_bits(self):
+        # DELTA0 keeps the bits the benchmark goldens were computed from;
+        # they differ from float() of the printed cell at exactly these keys
+        moved = {(n0, present) for (n0, present), delta0 in DELTA0.items()
+                 if delta0 != float(TABLE4[n0][2 if present else 3][0])}
+        assert len(DELTA0) == 40
+        assert moved == {(7, False), (9, False), (9, True), (10, True), (12, True),
+                         (17, True), (18, False), (18, True), (20, False), (20, True)}
 
 
 class TestMatching:
@@ -75,7 +85,7 @@ class TestRoundUpFormatting:
     def test_idempotent_on_exact(self):
         # the double nearest 0.28649 lies 2.2e-17 above it, so only the
         # nearest rule gives the printed cell back; up gives 0.28650
-        assert round_like(parse_printed("0.28649"), "0.28649", "nearest") == "0.28649"
+        assert round_like(0.28649, "0.28649", "nearest") == "0.28649"
         assert round_like(0.28649, "0.28649", "up") == "0.28650"
 
     def test_a_hair_above_a_boundary_rounds_up(self):
@@ -136,3 +146,18 @@ def test_rounding_rule():
                     assert abs(near - x) <= unit / 2, (template, v, near)
                     for printed in (up, down, near):
                         assert printed.as_tuple().exponent == exact.as_tuple().exponent
+
+
+def test_c0_is_printed_alpha_over_n0_squared():
+    # why tables 7-8's c0 misses the exact recomputation: every printed c0
+    # lies within one last-digit unit of table 6's printed alpha over n0^2
+    # (the range rows are n0 = 21); the largest gap is 0.82 units, at row 19
+    cells = [(n0, c0) for n0, (*_, c0) in TABLE7_PER_DEGREE.items()]
+    cells += [(21, c0) for _, _, _, _, c0, _ in TABLE7_RANGE]
+    cells += [(n0, c0) for n0, (_, _, c0) in TABLE8.items()]
+    assert len(cells) == 19 + 4 + 20
+    with localcontext(Context(prec=30)):
+        for n0, c0 in cells:
+            printed, decimals, exp, _ = _read(c0)
+            gap = abs(printed - _read(TABLE6[n0][0])[0] / (n0 * n0))
+            assert gap < Decimal(1).scaleb(exp - decimals), (n0, c0)

@@ -188,6 +188,10 @@ class TestKronecker:
         with pytest.raises(DomainError):
             kronecker(-4, 15)
 
+    def test_integral_float_p(self):
+        assert kronecker(5, 7.0) == -1 and kronecker(5, 11.0) == 1
+        assert is_prime(2.0**31 - 1) and not is_prime(91.0)
+
     def test_euler_criterion_agreement(self):
         # reciprocity algorithm vs direct D^((p-1)/2) mod p, all odd p < 1e4
         primes = [p for p in primes_up_to(10_000).tolist() if p > 2]
