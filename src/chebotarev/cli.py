@@ -10,8 +10,9 @@ Subcommands:
   params  dump the tuning configuration and derived constants of a row.
 
 Every command is deterministic: identical invocations produce
-byte-identical output.  Usage errors exit 2 (argparse convention),
-numeric mismatches exit 1, success exits 0.
+byte-identical output.  Usage errors exit 2 (argparse convention), and
+so does a failed write to stdout or stderr (a closed stream, a full
+disk); numeric mismatches exit 1, success exits 0.
 
 Each command imports only the modules it runs: `verify` loads no
 constants module, and `tables`, `bound` and `params` never load the
@@ -27,7 +28,7 @@ import io
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from .errors import DomainError, ResourceError
 
@@ -66,6 +67,24 @@ def _render_rows(columns: list[str], rows: list[list[str]], fmt: str) -> str:
     return "\n".join([head, sep, *body]) + "\n"
 
 
+def _write(name: str, text: str) -> None:
+    """Write text to sys.stdout or sys.stderr (name) and flush it.  A
+    closed stream or a failed write raises DomainError, so the command
+    exits 2 and never ends in a traceback."""
+    stream = getattr(sys, name)
+    if stream is None:  # started with that descriptor closed
+        raise DomainError(f"cannot write to {name}: it is closed")
+    try:
+        if text:  # stderr writes through, and even an empty write fails on a full device
+            stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        # the unwritten text stays buffered, and the flush at exit would
+        # fail again: send it to the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise DomainError(f"cannot write to {name}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         try:
@@ -73,17 +92,8 @@ def _emit(text: str, out_path: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise DomainError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
-    elif sys.stdout is None:  # started with stdout closed
-        raise DomainError("cannot write to stdout: it is closed")
     else:
-        try:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        except OSError as exc:
-            # the unwritten text stays buffered, and the flush at exit would
-            # fail again with a traceback: send it to the null device instead
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise DomainError(f"cannot write to stdout: {exc.strerror or exc}") from None
+        _write("stdout", text)
 
 
 def _emit_record(payload: dict, lines: list[str], args: argparse.Namespace) -> None:
@@ -121,15 +131,11 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
     diffs = diff_table(table)
     bad = [d for d in diffs if not d.ok]
-    for d in diffs if args.diff else bad:
-        status = "ok" if d.ok else "MISMATCH"
-        sys.stderr.write(
-            f"{status} table {table.table_id} row {d.row} {d.column}: "
-            f"computed {d.computed:.8g} vs printed {d.printed}\n"
-        )
-    sys.stderr.write(
-        f"table {table.table_id}: {len(diffs) - len(bad)}/{len(diffs)} cells match\n"
-    )
+    lines = [f"{'ok' if d.ok else 'MISMATCH'} table {table.table_id} row {d.row} {d.column}: "
+             f"computed {d.computed:.8g} vs printed {d.printed}\n"
+             for d in (diffs if args.diff else bad)]
+    lines.append(f"table {table.table_id}: {len(diffs) - len(bad)}/{len(diffs)} cells match\n")
+    _write("stderr", "".join(lines))
     return 1 if bad else 0
 
 
@@ -295,9 +301,11 @@ def main(argv: list[str] | None = None) -> int:
     if "numpy" not in sys.modules:
         # nothing here calls BLAS, so OpenBLAS needs no worker thread, which
         # would spin through up to 0.1 s of CPU per process; a value the user
-        # exported still wins, and a host process that already loaded numpy
-        # keeps its own setting
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+        # exported still wins (an empty one counts as unset, as OpenBLAS
+        # reads it), and a host process that already loaded numpy keeps
+        # its own setting
+        if not os.environ.get("OPENBLAS_NUM_THREADS"):
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -307,5 +315,37 @@ def main(argv: list[str] | None = None) -> int:
         return 2  # unreachable; parser.exit raises SystemExit
 
 
+def _watched() -> bool:
+    """True when a debugger, profiler or coverage tool is attached, or the
+    interpreter should stay open for inspection (python -i): each may still
+    act at exit."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or bool(sys.flags.inspect)
+            or monitoring is not None and any(monitoring.get_tool(i) is not None
+                                              for i in range(6)))
+
+
+def entry() -> NoReturn:
+    """The `chebotarev` command and `python -m chebotarev.cli`.
+
+    Runs main(), flushes stdout and stderr, and ends the process with
+    os._exit: tearing the interpreter down module by module (numpy above
+    all) costs CPU and changes nothing a user sees.  A process that a
+    tool watches (see _watched) exits normally, so the tool can write its
+    results, and so does one that main() leaves by an exception: a usage
+    error or a traceback."""
+    code = main()
+    try:
+        for name in ("stdout", "stderr"):
+            if getattr(sys, name) is not None:
+                _write(name, "")
+    except DomainError as exc:
+        build_parser().exit(2, f"error: {exc}\n")
+    if _watched():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

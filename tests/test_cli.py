@@ -490,6 +490,76 @@ def test_unwritable_stdout_is_usage_error(redirect, unbuffered):
     assert res.stderr.count("\n") == 1, res.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"])
+def test_unwritable_stderr_is_usage_error(capsys, redirect):
+    # every cell of table 2 matches, so exit 1 would claim a mismatch: the
+    # summary line that cannot be written exits 2, after the whole table
+    res = subprocess.run(["sh", "-c", f'"$0" -m chebotarev.cli tables --id 2 {redirect}',
+                          sys.executable], stdout=subprocess.PIPE, text=True)
+    assert res.returncode == 2
+    assert res.stdout == run(capsys, "tables", "--id", "2")[1]
+    # a command that writes nothing to stderr does not notice it
+    res = subprocess.run(["sh", "-c", f'"$0" -m chebotarev.cli bound --nL 5 --dL 1e6 --logx 1e5'
+                          f" {redirect}", sys.executable], stdout=subprocess.PIPE, text=True)
+    assert res.returncode == 0
+    assert res.stdout == run(capsys, "bound", "--nL", "5", "--dL", "1e6", "--logx", "1e5")[1]
+
+
+# ------------------------------------------------------------------ entry point
+
+def _cli_process(*argv, pre=()):
+    """A fresh `python [pre] -m chebotarev.cli argv` process, its output piped."""
+    return subprocess.run([sys.executable, *pre, "-m", "chebotarev.cli", *argv],
+                          capture_output=True, text=True)
+
+
+class TestEntryPoint:
+    def test_piped_output_is_complete(self, capsys):
+        res = _cli_process("tables", "--id", "1", "--format", "jsonl")
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        assert len(lines) == 20  # degrees 2..21
+        assert [json.loads(line)["n0"] for line in lines] == [str(n) for n in range(2, 22)]
+        assert res.stdout == run(capsys, "tables", "--id", "1", "--format", "jsonl")[1]
+        assert res.stderr == "table 1: 100/100 cells match\n"
+
+    def test_out_file_is_complete(self, capsys, tmp_path):
+        target = tmp_path / "t1.jsonl"
+        res = _cli_process("tables", "--id", "1", "--format", "jsonl", f"--out={target}")
+        assert (res.returncode, res.stdout) == (0, ""), res.stderr
+        assert target.read_text() == run(capsys, "tables", "--id", "1", "--format", "jsonl")[1]
+
+    def test_profiler_writes_its_file(self, capsys, tmp_path):
+        # cProfile writes its file after the module returns, so a profiled
+        # process must end by a normal exit
+        import pstats
+
+        target = tmp_path / "tables2.prof"
+        res = _cli_process("tables", "--id", "2", pre=("-m", "cProfile", "-o", str(target)))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == run(capsys, "tables", "--id", "2")[1]
+        assert pstats.Stats(str(target)).total_calls > 0
+
+    @pytest.mark.parametrize("flags, hook, teardown", [
+        ((), "", False), ((), "sys.settrace(lambda *a: None)", True),
+        ((), "sys.setprofile(lambda *a: None)", True),
+        (("-i",), "", True),  # the prompt opens after the command, and reads EOF
+    ])
+    def test_teardown_only_under_a_hook(self, capsys, flags, hook, teardown):
+        # an atexit handler runs only when the interpreter tears down
+        code = ("import atexit, sys\n"
+                "from chebotarev import cli\n"
+                "atexit.register(lambda: print('teardown'))\n"
+                f"{hook}\n"
+                "cli.entry()\n")
+        res = subprocess.run([sys.executable, *flags, "-c", code, "tables", "--id", "2"],
+                             stdin=subprocess.DEVNULL, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.endswith("teardown\n") == teardown
+        assert res.stdout.removesuffix("teardown\n") == run(capsys, "tables", "--id", "2")[1]
+
+
 # ------------------------------------------------------------------ start-up
 
 # cli.main(argv) in a fresh process; prints the chebotarev modules it
@@ -616,7 +686,11 @@ class TestStartUp:
     def test_one_blas_thread_unless_exported(self):
         if not _numpy_uses_openblas() or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("needs numpy on OpenBLAS and two usable CPUs")
+        # verify always loads numpy; a constants command need not
+        argv = ("verify", "--disc", "5", "--x", "100")
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        assert _fresh_cli("tables", "--id", "4", env=env)[1] == 1
+        assert _fresh_cli(*argv, env=env)[1] == 1
+        env["OPENBLAS_NUM_THREADS"] = ""  # OpenBLAS reads an empty value as unset
+        assert _fresh_cli(*argv, env=env)[1] == 1
         env["OPENBLAS_NUM_THREADS"] = "2"  # the user's value wins
-        assert _fresh_cli("tables", "--id", "4", env=env)[1] == 2
+        assert _fresh_cli(*argv, env=env)[1] == 2
