@@ -70,17 +70,21 @@ def _render_rows(columns: list[str], rows: list[list[str]], fmt: str) -> str:
 def _write(name: str, text: str) -> None:
     """Write text to sys.stdout or sys.stderr (name) and flush it.  A
     closed stream or a failed write raises DomainError, so the command
-    exits 2 and never ends in a traceback."""
+    exits 2 and never ends in a traceback.  The stream then goes to the
+    null device, where the error message and the flush at exit cannot
+    fail again."""
     stream = getattr(sys, name)
     if stream is None:  # started with that descriptor closed
+        # argparse in some Python releases (3.11.2, for one) writes its
+        # message to a None sys.stderr unguarded, and would exit 1
+        setattr(sys, name, open(os.devnull, "w"))
         raise DomainError(f"cannot write to {name}: it is closed")
     try:
         if text:  # stderr writes through, and even an empty write fails on a full device
             stream.write(text)
         stream.flush()
     except OSError as exc:
-        # the unwritten text stays buffered, and the flush at exit would
-        # fail again: send it to the null device instead
+        # the unwritten text stays buffered: drop it there
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         raise DomainError(f"cannot write to {name}: {exc.strerror or exc}") from None
 
@@ -309,7 +313,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        for name in ("stdout", "stderr"):  # entry() ends without a flush
+            if getattr(sys, name) is not None:
+                _write(name, "")
+        return code
     except (DomainError, ResourceError) as exc:
         parser.exit(2, f"error: {exc}\n")
         return 2  # unreachable; parser.exit raises SystemExit
@@ -329,20 +337,16 @@ def _watched() -> bool:
 def entry() -> NoReturn:
     """The `chebotarev` command and `python -m chebotarev.cli`.
 
-    Runs main(), flushes stdout and stderr, and ends the process with
-    os._exit: tearing the interpreter down module by module (numpy above
-    all) costs CPU and changes nothing a user sees.  A process that a
-    tool watches (see _watched) exits normally, so the tool can write its
-    results, and so does one that main() leaves by an exception: a usage
-    error or a traceback."""
+    Runs main() and, when the process's main program calls it, ends the
+    process with os._exit: tearing the interpreter down
+    module by module (numpy above all) costs CPU and changes nothing a
+    user sees.  It exits normally instead when a tool watches the process
+    (see _watched), so the tool can write its results, and when another
+    program hosts it (runpy.run_module), which gets a SystemExit it can
+    catch.  An exception out of main(), a usage error or a traceback,
+    ends the process as it always did."""
     code = main()
-    try:
-        for name in ("stdout", "stderr"):
-            if getattr(sys, name) is not None:
-                _write(name, "")
-    except DomainError as exc:
-        build_parser().exit(2, f"error: {exc}\n")
-    if _watched():
+    if sys._getframe(1).f_globals is not vars(sys.modules["__main__"]) or _watched():
         sys.exit(code)
     os._exit(code)
 

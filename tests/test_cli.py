@@ -1,5 +1,6 @@
 """Command-line interface: rendering, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -506,12 +507,29 @@ def test_unwritable_stderr_is_usage_error(capsys, redirect):
     assert res.stdout == run(capsys, "bound", "--nL", "5", "--dL", "1e6", "--logx", "1e5")[1]
 
 
+def test_closed_stderr_meets_an_unguarded_argparse(capsys, monkeypatch):
+    # argparse in some Python releases (3.11.2 among them) writes its error
+    # message to sys.stderr without a guard: a closed stderr must not reach
+    # it as None, which would turn exit 2 into an AttributeError
+    def print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", print_message)
+    monkeypatch.setattr(sys, "stderr", None)
+    assert run(capsys, "tables", "--id", "2")[0] == 2
+    sys.stderr.close()  # the null device that took its place
+
+
 # ------------------------------------------------------------------ entry point
 
 def _cli_process(*argv, pre=()):
     """A fresh `python [pre] -m chebotarev.cli argv` process, its output piped."""
     return subprocess.run([sys.executable, *pre, "-m", "chebotarev.cli", *argv],
                           capture_output=True, text=True)
+
+
+_ENTRY = "from chebotarev import cli; cli.entry()"
 
 
 class TestEntryPoint:
@@ -541,18 +559,18 @@ class TestEntryPoint:
         assert res.stdout == run(capsys, "tables", "--id", "2")[1]
         assert pstats.Stats(str(target)).total_calls > 0
 
-    @pytest.mark.parametrize("flags, hook, teardown", [
-        ((), "", False), ((), "sys.settrace(lambda *a: None)", True),
-        ((), "sys.setprofile(lambda *a: None)", True),
-        (("-i",), "", True),  # the prompt opens after the command, and reads EOF
-    ])
-    def test_teardown_only_under_a_hook(self, capsys, flags, hook, teardown):
+    @pytest.mark.parametrize("flags, code, teardown", [
+        ((), _ENTRY, False),
+        ((), f"sys.settrace(lambda *a: None); {_ENTRY}", True),
+        ((), f"sys.setprofile(lambda *a: None); {_ENTRY}", True),
+        (("-i",), _ENTRY, True),  # the prompt opens after the command, and reads EOF
+        # runpy runs the module in a namespace of its own, so the module is
+        # not the main program, and its host gets a SystemExit
+        ((), "runpy.run_module('chebotarev.cli', run_name='__main__')", True),
+    ], ids=["main", "settrace", "setprofile", "inspect", "runpy"])
+    def test_teardown_only_under_a_hook_or_a_host(self, capsys, flags, code, teardown):
         # an atexit handler runs only when the interpreter tears down
-        code = ("import atexit, sys\n"
-                "from chebotarev import cli\n"
-                "atexit.register(lambda: print('teardown'))\n"
-                f"{hook}\n"
-                "cli.entry()\n")
+        code = f"import atexit, runpy, sys\natexit.register(lambda: print('teardown'))\n{code}\n"
         res = subprocess.run([sys.executable, *flags, "-c", code, "tables", "--id", "2"],
                              stdin=subprocess.DEVNULL, capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
