@@ -22,6 +22,8 @@ read into _PUBLISHED_B0 from table 7's degree-range rows.
 Each of the eight published tables is one spec in _TABLES (its title,
 printed rows, row-level cells and, for tables 4-8, one block of cells per
 beta_0 state), and generate_table builds every one in the same loop.
+Table.rounding rounds the inputs a spec names (table 3's d0 and M, table
+4's delta0, table 7's b0) to nearest when published, every bound up.
 
 The smoothing, bessel and invariants functions and ell6/ell7 keep general
 m; TuningConfig fixes m = 1, where the decay exponent
@@ -503,6 +505,7 @@ class Table:
     computed: tuple[tuple[float | None, ...], ...]
     printed: tuple[tuple[str | None, ...], ...]
     rel_tol: float | None  # None selects the round-up band policy
+    rounding: tuple[str, ...]  # round_like's direction per column of columns[1:]
 
 
 def _split_tail(cells: tuple) -> tuple[tuple, tuple, tuple]:
@@ -582,6 +585,7 @@ class _TableSpec:
     state_cells: Callable[[FinalConstants], tuple[float, ...]] | None = None
     rel_tol: float | None = None
     extra_rows: Callable[[tuple[bool, ...]], list[tuple[str, list, list]]] | None = None
+    inputs: tuple[str, ...] = ()  # the columns the paper supplies rather than bounds
 
 
 _TABLES = {
@@ -591,11 +595,11 @@ _TABLES = {
     2: _TableSpec("Kernel threshold pairs (omega0, t0)", _table2_reference,
                   ("given", "omega0", "t0"), _table2_cells),
     3: _TableSpec("Minimal discriminants and Minkowski coefficients", lambda: pv.TABLE3_MINKOWSKI,
-                  ("n0", "d0", "M"), _table3_cells),
+                  ("n0", "d0", "M"), _table3_cells, inputs=("d0", "M")),
     4: _TableSpec("Main error-term constants (E-family)", lambda: pv.TABLE4,
                   ("n0", "alpha", "log_x0"), _record("alpha", "x0_log"), _split_tail,
                   ("delta0", "max(E1,E2)", "N0", "E3", "E3~"),
-                  attrgetter("cfg.delta0", "max_E12", "N0", "E3", "E3_tilde")),
+                  attrgetter("cfg.delta0", "max_E12", "N0", "E3", "E3_tilde"), inputs=("delta0",)),
     5: _TableSpec("Log-form constants (D-family, k = 1)", lambda: pv.TABLE5, ("n0", "alpha"),
                   _record("alpha"), _split_tail, ("D12", "N0", "D3", "D3~"),
                   attrgetter("D12", "N0", "D3", "D3_tilde")),
@@ -608,7 +612,7 @@ _TABLES = {
                   state_columns=("a0", "b0", "c0"),
                   state_cells=lambda f: attrgetter("a0", "b0", "c0")(
                       classical_constants(f, ClassicalBranch.REFINED)),
-                  rel_tol=pv.GUARD_TABLES_REL_TOL, extra_rows=_table7_range_rows),
+                  rel_tol=pv.GUARD_TABLES_REL_TOL, extra_rows=_table7_range_rows, inputs=("b0",)),
     8: _TableSpec("Absolute constants (a0, c0) for all degrees >= n0", lambda: pv.TABLE8, ("n0",),
                   split=_split_a0, state_columns=("a0", "c0"),
                   state_cells=lambda f: attrgetter("a0", "c0")(
@@ -652,7 +656,9 @@ def generate_table(table_id: int, beta0: str = "both") -> Table:
     return Table(table_id, spec.title, (*spec.columns, *state_names),
                  tuple(label for label, _, _ in rows),
                  tuple(tuple(c) for _, c, _ in rows),
-                 tuple(tuple(p) for _, _, p in rows), spec.rel_tol)
+                 tuple(tuple(p) for _, _, p in rows), spec.rel_tol,
+                 tuple("nearest" if c in spec.inputs else "up"
+                       for c in (*spec.columns[1:], *spec.state_columns * len(use))))
 
 
 def diff_table(table: Table) -> list[CellDiff]:

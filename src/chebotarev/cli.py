@@ -74,9 +74,7 @@ def _write(name: str, text: str) -> None:
     null device, where the error message and the flush at exit cannot
     fail again."""
     stream = getattr(sys, name)
-    if stream is None:  # started with that descriptor closed
-        # argparse in some Python releases (3.11.2, for one) writes its
-        # message to a None sys.stderr unguarded, and would exit 1
+    if stream is None:  # started closed; parser.exit's message goes here (see main)
         setattr(sys, name, open(os.devnull, "w"))
         raise DomainError(f"cannot write to {name}: it is closed")
     try:
@@ -111,14 +109,14 @@ def _emit_record(payload: dict, lines: list[str], args: argparse.Namespace) -> N
 
 
 def _table_rows(table: Table, published_style: bool) -> list[list[str]]:
-    from .reference_values import published_direction, round_like
+    from .reference_values import round_like
 
     rows = []
     for label, crow, prow in zip(table.labels, table.computed, table.printed):
         cells = []
-        for col, c, p in zip(table.columns[1:], crow, prow):
+        for direction, c, p in zip(table.rounding, crow, prow):
             if published_style and p is not None and c is not None:
-                cells.append(round_like(c, p, published_direction(table.table_id, col)))
+                cells.append(round_like(c, p, direction))
             else:
                 cells.append(_fmt(c))
         rows.append([label] + cells)
@@ -311,7 +309,18 @@ def main(argv: list[str] | None = None) -> int:
         if not os.environ.get("OPENBLAS_NUM_THREADS"):
             os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse in some Python releases (3.11.2, for one) writes its usage
+    # errors unguarded: to a closed stderr, None, or to a full device
+    stderr = sys.stderr
+    sys.stderr = stderr or open(os.devnull, "w")
+    try:
+        args = parser.parse_args(argv)
+    except OSError:
+        raise SystemExit(2) from None
+    finally:
+        if stderr is None:  # a command's own writes still find it closed
+            sys.stderr.close()
+        sys.stderr = stderr
     try:
         code = args.func(args)
         for name in ("stdout", "stderr"):  # entry() ends without a flush
@@ -320,7 +329,6 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (DomainError, ResourceError) as exc:
         parser.exit(2, f"error: {exc}\n")
-        return 2  # unreachable; parser.exit raises SystemExit
 
 
 def _watched() -> bool:

@@ -30,8 +30,8 @@ cell is read as a decimal.  The band works out its edges exactly from it,
 and round_like rounds a float's exact binary value at its last digit, so
 a value a hair past a printed boundary is never taken for the boundary
 itself.  round_like rounds up a computed bound, down an exponent
-coefficient (the corollaries floor them) and to nearest the columns in
-INPUT_COLUMNS, which the paper supplies rather than bounds.  _read is
+coefficient (the corollaries floor them) and to nearest an input the
+paper supplies rather than bounds (assembly.Table.rounding).  _read is
 the only parser of the printed syntax; DELTA0 builds its doubles from it.
 """
 
@@ -46,8 +46,6 @@ from .errors import DomainError
 __all__ = [
     "matches_printed",
     "round_like",
-    "INPUT_COLUMNS",
-    "published_direction",
     "TABLE1_ALPHA0",
     "TABLE2_OMEGA_TO_T",
     "TABLE2_T_TO_OMEGA",
@@ -262,18 +260,6 @@ DELTA0: dict[tuple[int, bool], float] = {
     for n0, states in TABLE4.items()
     for present in (True, False)
 }
-
-# The columns the paper supplies as inputs rather than bounds, by table id:
-# table 3's Minkowski rows (d0, M) above, table 4's delta0 (DELTA0 above)
-# and table 7's b0 (the per-degree and range rows below).  Published-style
-# output prints them to nearest; every computed cell rounds up.
-INPUT_COLUMNS: dict[int, tuple[str, ...]] = {3: ("d0", "M"), 4: ("delta0",), 7: ("b0",)}
-
-
-def published_direction(table_id: int, column: str) -> str:
-    """round_like's direction for a cell of a table column ('delta0
-    [present]' is column delta0): nearest for an input, up for a bound."""
-    return "nearest" if column.split(" [")[0] in INPUT_COLUMNS.get(table_id, ()) else "up"
 
 
 # --- log-form constants (k = 1) --------------------------------------------

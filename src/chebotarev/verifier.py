@@ -376,14 +376,13 @@ def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
     larger ones strike; its flags are freed before the primes are yielded."""
     base = primes_up_to(math.isqrt(stops[-1]))
     base = base[base > _WHEEL_PRIMES[-1]]
-    squares = base * base
     pattern = _wheel_pattern()
     lo = 1
     for stop in stops:
         while lo < stop:
             hi = min(lo + _SEGMENT, stop)
-            primes = _sieve_segment(lo, hi, base[: np.searchsorted(squares, hi, side="right")],
-                                    pattern)
+            strike = base[: np.searchsorted(base, math.isqrt(hi), side="right")]  # p*p <= hi
+            primes = _sieve_segment(lo, hi, strike, pattern)
             if lo < _WHEEL_PRIMES[-1]:
                 head = [p for p in (2, *_WHEEL_PRIMES) if lo < p <= hi]
                 primes = np.concatenate((np.array(head, dtype=np.int64), primes))

@@ -549,6 +549,20 @@ class TestTables:
             assert cells(one) == {key: v for key, v in cells(both).items() if key[1] in one.columns}
             assert set(one.labels) == {label for label, _ in cells(one)}  # no blank row
 
+    @pytest.mark.parametrize("beta0", ("present", "absent", "both"))
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_rounding_is_nearest_for_the_inputs_alone(self, k, beta0):
+        # one direction per column; the inputs the paper supplies (table 3's
+        # d0 and M, table 4's delta0, table 7's b0) round to nearest in every
+        # state block present, every computed column rounds up
+        t = generate_table(k, beta0)
+        assert len(t.rounding) == len(t.columns) - 1
+        inputs = {3: ("d0", "M"), 4: ("delta0",), 7: ("b0",)}.get(k, ())
+        states = ("present", "absent") if beta0 == "both" else (beta0,)
+        want = [f"{c} [{state}]" for state in states for c in inputs] if k >= 4 else list(inputs)
+        assert [c for c, d in zip(t.columns[1:], t.rounding) if d != "up"] == want
+        assert set(t.rounding) <= {"up", "nearest"}
+
     def test_table3_is_exact_embedded_data(self):
         t = generate_table(3)
         assert len(t.labels) == 20

@@ -2,10 +2,12 @@
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -82,13 +84,10 @@ class TestTablesCommand:
 
     def test_published_style_inputs_print_as_published(self, capsys):
         # the double nearest 1.82048 lies above it, so only the nearest rule
-        # gives table 3's M back; every input column names a real column
+        # gives table 3's M back
         code, out, _ = run(capsys, "tables", "--id", "3", "--format", "csv", "--published-style")
         assert code == 0
         assert out.splitlines()[1] == "2,3,1.82048"
-        for table_id, names in pv.INPUT_COLUMNS.items():
-            columns = {c.split(" [")[0] for c in generate_table(table_id).columns}
-            assert set(names) <= columns, table_id
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "t1.csv"
@@ -507,18 +506,33 @@ def test_unwritable_stderr_is_usage_error(capsys, redirect):
     assert res.stdout == run(capsys, "bound", "--nL", "5", "--dL", "1e6", "--logx", "1e5")[1]
 
 
-def test_closed_stderr_meets_an_unguarded_argparse(capsys, monkeypatch):
-    # argparse in some Python releases (3.11.2 among them) writes its error
-    # message to sys.stderr without a guard: a closed stderr must not reach
-    # it as None, which would turn exit 2 into an AttributeError
-    def print_message(self, message, file=None):
-        if message:
-            (file or sys.stderr).write(message)
+def _unguarded_print_message(self, message, file=None):
+    # argparse's _print_message in some Python releases (3.11.2 among them)
+    if message:
+        (file or sys.stderr).write(message)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", print_message)
+
+def test_closed_stderr_meets_an_unguarded_argparse(capsys, monkeypatch):
+    # argparse in some Python releases writes its error message to
+    # sys.stderr without a guard: a closed stderr must not reach it as None,
+    # which would turn exit 2 into an AttributeError
+    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", _unguarded_print_message)
     monkeypatch.setattr(sys, "stderr", None)
+    assert run(capsys, "tables", "--id", "99")[0] == 2  # argparse's own usage error
+    assert sys.stderr is None  # so the command below still finds stderr closed
     assert run(capsys, "tables", "--id", "2")[0] == 2
     sys.stderr.close()  # the null device that took its place
+
+
+def test_full_stderr_meets_an_unguarded_argparse(capsys, monkeypatch):
+    # the same releases let the OSError of a full stderr out of parse_args
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", _unguarded_print_message)
+    monkeypatch.setattr(sys, "stderr", Full())
+    assert run(capsys, "tables", "--id", "99")[0] == 2
 
 
 # ------------------------------------------------------------------ entry point
@@ -699,6 +713,23 @@ class TestStartUp:
 
         assert cli.TABLE_IDS == assembly.TABLE_IDS
         assert list(cli.BOUND_FORMS) == [f.value for f in BoundForm]
+
+    def test_published_style_help_names_the_inputs(self, capsys):
+        # the help lists in prose, without importing assembly, exactly the
+        # columns each table rounds to nearest
+        with pytest.raises(SystemExit):
+            cli.main(["tables", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        named = {int(k): set(names.split(" and "))
+                 for k, names in re.findall(r"table (\d)'s (\w+(?: and \w+)?)", text)}
+        inputs = {}
+        for k in cli.TABLE_IDS:
+            t = generate_table(k, "present")
+            nearest = {c.removesuffix(" [present]")
+                       for c, d in zip(t.columns[1:], t.rounding) if d == "nearest"}
+            if nearest:
+                inputs[k] = nearest
+        assert named == inputs == {3: {"d0", "M"}, 4: {"delta0"}, 7: {"b0"}}
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
     def test_one_blas_thread_unless_exported(self):
