@@ -28,7 +28,7 @@ import io
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, NoReturn
+from typing import IO, TYPE_CHECKING, NoReturn
 
 from .errors import DomainError, ResourceError
 
@@ -74,7 +74,7 @@ def _write(name: str, text: str) -> None:
     null device, where the error message and the flush at exit cannot
     fail again."""
     stream = getattr(sys, name)
-    if stream is None:  # started closed; parser.exit's message goes here (see main)
+    if stream is None:  # started closed; later writes go to the null device
         setattr(sys, name, open(os.devnull, "w"))
         raise DomainError(f"cannot write to {name}: it is closed")
     try:
@@ -82,8 +82,12 @@ def _write(name: str, text: str) -> None:
             stream.write(text)
         stream.flush()
     except OSError as exc:
-        # the unwritten text stays buffered: drop it there
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        try:  # the unwritten text stays buffered: drop it there
+            fd = stream.fileno()
+        except OSError:  # a stream with no descriptor, such as a host's StringIO
+            pass
+        else:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
         raise DomainError(f"cannot write to {name}: {exc.strerror or exc}") from None
 
 
@@ -241,8 +245,32 @@ def cmd_params(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that writes its help, usage and error messages
+    through _write, so that a closed or full stream is a DomainError
+    (exit 2) on every Python release: argparse itself ignores such a
+    failed write in some releases and lets an OSError or AttributeError
+    out of parse_args in others.  Its subparsers are of this class too."""
+
+    def _print_message(self, message: str, file: IO[str] | None = None) -> None:
+        if message:  # file is sys.stdout or sys.stderr, None when that one is closed
+            _write("stdout" if file is sys.stdout else "stderr", message)
+
+    def error(self, message: str) -> NoReturn:
+        # argparse's own prints the usage to stdout when stderr is closed
+        self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
+        if message and sys.stderr is not None:  # a closed stderr stays closed
+            try:
+                _write("stderr", message)
+            except DomainError:  # the message is lost, the status is not
+                pass
+        sys.exit(status)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chebotarev",
         description="Explicit Chebotarev error-term constants: table "
                     "regeneration, bound evaluation, exact verification.",
@@ -309,19 +337,8 @@ def main(argv: list[str] | None = None) -> int:
         if not os.environ.get("OPENBLAS_NUM_THREADS"):
             os.environ["OPENBLAS_NUM_THREADS"] = "1"
     parser = build_parser()
-    # argparse in some Python releases (3.11.2, for one) writes its usage
-    # errors unguarded: to a closed stderr, None, or to a full device
-    stderr = sys.stderr
-    sys.stderr = stderr or open(os.devnull, "w")
     try:
         args = parser.parse_args(argv)
-    except OSError:
-        raise SystemExit(2) from None
-    finally:
-        if stderr is None:  # a command's own writes still find it closed
-            sys.stderr.close()
-        sys.stderr = stderr
-    try:
         code = args.func(args)
         for name in ("stdout", "stderr"):  # entry() ends without a flush
             if getattr(sys, name) is not None:

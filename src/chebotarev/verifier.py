@@ -28,10 +28,11 @@ sweep holds the wheel pattern (30 030 flags), the base primes up to
 sqrt(x), the character's table of residues mod |D| (for |D| <= 10^6;
 above, a segment's character is a vectorised Jacobi symbol), six integer
 sums per grid point and one segment at a time.  A segment's 2^19
-flags are freed once its primes are listed.  Its class sums then take the
-primes' logs as int64, split into two 29-bit halves, and multiply the
-character values into each half in place: no class-index array and no
-weighted copies.
+flags stay while its primes are listed and classified one chunk of 2^16
+flags at a time, so at most 12 245 primes are held at once, not a
+segment's 82 025.  A chunk's class sums take the primes' logs as int64,
+split into two 29-bit halves, and multiply the character values into
+each half in place: no class-index array and no weighted copies.
 """
 
 from __future__ import annotations
@@ -75,6 +76,11 @@ MAX_SIEVE_LIMIT = 2**46
 MAX_ABS_DISC = 10**18
 _SEGMENT = 2**20  # numbers per segment: its odd-number flags take 512 KiB
 _STRIKE_CHUNK = 4096  # striking primes per list: one list a segment below x = 1.5e9
+# flags listed as primes at a time: a sweep classifies a segment's primes
+# one such chunk at a time, so its per-prime arrays (the primes, their
+# character values, their logs and 29-bit halves) hold at most 12 245
+# primes, the first chunk's, not a whole segment's 82 025
+_LIST_CHUNK = 2**16
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL = math.prod(_WHEEL_PRIMES)  # 15015, the wheel's period in odd numbers
 _UNIT = 2**53  # log sums run on integers in units of 2^-53
@@ -346,10 +352,12 @@ def _character(D: int, primes: np.ndarray) -> np.ndarray:
     return chi
 
 
-def _sieve_segment(lo: int, hi: int, ps: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+def _sieve_segment(lo: int, hi: int, ps: np.ndarray, pattern: np.ndarray) -> Iterator[np.ndarray]:
     """The primes in (lo, hi] above 13, lo >= 1, given ps = the primes from
-    17 to sqrt(hi).  The strike turns at most _STRIKE_CHUNK of ps into
-    Python ints at a time: near the cap, 4096 of 564 157."""
+    17 to sqrt(hi): ascending, one array per _LIST_CHUNK flags, so an array
+    may be empty.  The strike, at the first array, turns at most
+    _STRIKE_CHUNK of ps into Python ints at a time: near the cap, 4096 of
+    564 157."""
     a = (lo + 1) // 2  # seg[i] stands for the odd number 2(a + i) + 1
     start = a % _WHEEL
     seg = np.resize(pattern[start : start + _WHEEL], (hi + 1) // 2 - a)
@@ -360,20 +368,22 @@ def _sieve_segment(lo: int, hi: int, ps: np.ndarray, pattern: np.ndarray) -> np.
         q = np.maximum((lo // chunk + 1) | 1, chunk)
         for p, i in zip(chunk.tolist(), ((q * chunk - 1) // 2 - a).tolist()):
             flags[i::p] = 0
-    primes = np.flatnonzero(seg)
-    primes *= 2
-    primes += 2 * a + 1
-    return primes
+    for c in range(0, len(seg), _LIST_CHUNK):
+        primes = np.flatnonzero(seg[c : c + _LIST_CHUNK])
+        primes *= 2
+        primes += 2 * (a + c) + 1
+        yield primes
 
 
 def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
     """(hi, primes in (lo, hi]) over consecutive ranges covering
     (1, stops[-1]] in ascending order, each at most _SEGMENT long and each
-    ending at every stop it reaches.  `stops` is ascending.
+    ending at every stop it reaches.  `stops` is ascending.  A range's
+    primes come as several arrays, each with the range's hi.
 
     A segment sieves only its odd numbers, starting from the wheel pattern,
-    so the base primes 2 and _WHEEL_PRIMES are emitted explicitly and only
-    larger ones strike; its flags are freed before the primes are yielded."""
+    so the base primes 2 and _WHEEL_PRIMES are emitted explicitly, as the
+    first array of the range they fall in, and only larger ones strike."""
     base = primes_up_to(math.isqrt(stops[-1]))
     base = base[base > _WHEEL_PRIMES[-1]]
     pattern = _wheel_pattern()
@@ -381,12 +391,12 @@ def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
     for stop in stops:
         while lo < stop:
             hi = min(lo + _SEGMENT, stop)
-            strike = base[: np.searchsorted(base, math.isqrt(hi), side="right")]  # p*p <= hi
-            primes = _sieve_segment(lo, hi, strike, pattern)
             if lo < _WHEEL_PRIMES[-1]:
                 head = [p for p in (2, *_WHEEL_PRIMES) if lo < p <= hi]
-                primes = np.concatenate((np.array(head, dtype=np.int64), primes))
-            yield hi, primes
+                yield hi, np.array(head, dtype=np.int64)
+            strike = base[: np.searchsorted(base, math.isqrt(hi), side="right")]  # p*p <= hi
+            for primes in _sieve_segment(lo, hi, strike, pattern):
+                yield hi, primes
             lo = hi
 
 
@@ -453,10 +463,10 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
         units *= _UNIT
         units = units.astype(np.int64)
 
-        # the total takes every prime of the segment once, whatever chi says,
+        # the total takes every prime of the chunk once, whatever chi says,
         # less the primes dividing D, which are all <= |D|.  No slice of
-        # primes is bound to a name: that view would keep this segment's
-        # primes alive while the next segment is sieved
+        # primes is bound to a name: that view would keep this chunk's
+        # primes alive into the next chunk's sums
         r = int(np.searchsorted(primes, modulus, side="right"))
         ramified = int(units[:r][modulus % primes[:r] == 0].sum())
         # higher powers p^m <= top of every p not dividing D need
@@ -475,7 +485,7 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
         high = _chi_moments(units >> 29, chi)
         units &= (1 << 29) - 1
         low = _chi_moments(units, chi)
-        # the next segment is sieved while the loop still binds these names
+        # the next chunk is listed while the loop still binds these names
         del chi, units
         total, odd, even = ((a << 29) + b for a, b in zip(high, low))
         slot = ledger[bisect_left(stops, hi)]

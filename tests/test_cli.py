@@ -491,6 +491,23 @@ def test_unwritable_stdout_is_usage_error(redirect, unbuffered):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("redirect, unbuffered", [
+    (">/dev/full", False), (">/dev/full", True), (">&-", False),
+])
+def test_unwritable_help_is_usage_error(redirect, unbuffered):
+    # argparse's help goes out through the same write as a command's output:
+    # argparse alone would exit 0 here, or 120 once the exit flush fails
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    res = subprocess.run(["sh", "-c", f'"$0" -m chebotarev.cli tables --help {redirect}',
+                          sys.executable], stderr=subprocess.PIPE, text=True, env=env)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: cannot write to stdout: ")
+    assert res.stderr.count("\n") == 1, res.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"])
 def test_unwritable_stderr_is_usage_error(capsys, redirect):
     # every cell of table 2 matches, so exit 1 would claim a mismatch: the

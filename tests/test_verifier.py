@@ -1,5 +1,6 @@
 """Exact psi_C for quadratic fields against brute-force oracles."""
 
+import itertools
 import json
 import math
 import random
@@ -276,14 +277,20 @@ class TestPrimeInfrastructure:
         # crossing a segment boundary changes nothing; grid points cut
         # segments narrower than some base primes (the range (24, 25]); the
         # wheel pattern repeats every 15015 odd numbers, so past 15015 and
-        # 30030 segments start at every offset within its period
+        # 30030 segments start at every offset within its period.  Chunks
+        # of 1, 2 and 7 flags list a segment of 7 numbers or more in several
+        # arrays, some of them empty (a segment of 1 or 2 holds one flag at
+        # most), and x = 2 and 3 end segments with no odd flags
         D = -4
         field = QuadraticField(D)
-        grid = [12.999, 13.0, 24.0, 25.0, 20.0, 1.5, 25.0, 2209.0, 2208.0]
+        grid = [12.999, 13.0, 24.0, 25.0, 20.0, 1.5, 25.0, 2209.0, 2208.0, 2.0, 3.0]
         oracle = [psi_oracle(D, x) for x in grid]
         primes = trial_primes(30_100)
-        for segment in (1, 2, 7, 97, 15015, 15016):
+        cases = [(segment, verifier._LIST_CHUNK) for segment in (1, 2, 7, 97, 15015, 15016)]
+        cases += itertools.product((7, 97, 15016), (1, 2, 7))
+        for segment, chunk in cases:
             monkeypatch.setattr(verifier, "_SEGMENT", segment)
+            monkeypatch.setattr(verifier, "_LIST_CHUNK", chunk)
             assert primes_up_to(30_100).tolist() == primes
             rows = equidist_report(field, grid)
             assert [r.x for r in rows] == grid
@@ -338,10 +345,12 @@ class TestPrimeInfrastructure:
 
     def test_sweep_peak_memory(self):
         # a sweep to 3e6, with everything it builds (wheel pattern, base
-        # primes, residue table), peaks below 2.5 MiB.  Its first segment,
-        # the largest, holds at once 82 025 primes, their character values
-        # and their logs as float64 and as int64: 2.0 MiB
-        assert self.sweep_peak(3e6, 2**20) < 2.5 * 2**20
+        # primes, residue table), peaks below 1.25 MiB: one segment's flags
+        # plus one chunk.  The segment's 2^19 flags take 512 KiB; the first
+        # chunk of 2^16 flags, the largest, holds 12 245 primes, their
+        # character values and their logs as float64 and as int64.  Listing
+        # the whole segment at once (82 025 primes) peaked at 2.05 MiB
+        assert self.sweep_peak(3e6, 2**20) < 1.25 * 2**20
         # the sweep's state does not grow with the number of segments: four
         # times as many (128 -> 512) add only what grows with sqrt(x), the
         # base primes (97 -> 172).  Sums kept at every segment end would add
@@ -371,9 +380,9 @@ class TestPrimeInfrastructure:
                 f"ps = base[(base > 13) & (base * base <= {hi})]\n"
                 "pattern = verifier._wheel_pattern()\n"
                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-                f"primes = verifier._sieve_segment({lo}, {hi}, ps, pattern)\n"
+                f"chunks = list(verifier._sieve_segment({lo}, {hi}, ps, pattern))\n"
                 "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
-                "print(json.dumps([len(ps), grown, primes.tolist()]))\n")
+                "print(json.dumps([len(ps), grown, [p for c in chunks for p in c.tolist()]]))\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
         strikers, grown_kib, primes = json.loads(res.stdout)
