@@ -523,33 +523,37 @@ def test_unwritable_stderr_is_usage_error(capsys, redirect):
     assert res.stdout == run(capsys, "bound", "--nL", "5", "--dL", "1e6", "--logx", "1e5")[1]
 
 
-def _unguarded_print_message(self, message, file=None):
-    # argparse's _print_message in some Python releases (3.11.2 among them)
-    if message:
-        (file or sys.stderr).write(message)
+def _unreached_print_message(self, message, file=None):
+    raise AssertionError(f"argparse's own writer was reached with {message!r}")
 
 
 def test_closed_stderr_meets_an_unguarded_argparse(capsys, monkeypatch):
-    # argparse in some Python releases writes its error message to
-    # sys.stderr without a guard: a closed stderr must not reach it as None,
-    # which would turn exit 2 into an AttributeError
-    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", _unguarded_print_message)
+    # argparse in some Python releases (3.11.2 among them) writes its error
+    # message to sys.stderr without a guard, which a closed stderr (None)
+    # turns into an AttributeError.  The CLI's parser never reaches that
+    # writer: its usage error goes through the CLI's own, and exits 2
+    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", _unreached_print_message)
     monkeypatch.setattr(sys, "stderr", None)
     assert run(capsys, "tables", "--id", "99")[0] == 2  # argparse's own usage error
-    assert sys.stderr is None  # so the command below still finds stderr closed
+    assert sys.stderr is None  # so the commands below still find stderr closed
+    code, out, _ = run(capsys, "tables", "--help")  # help goes the same way, to stdout
+    assert (code, out.startswith("usage: chebotarev tables")) == (0, True)
     assert run(capsys, "tables", "--id", "2")[0] == 2
     sys.stderr.close()  # the null device that took its place
 
 
 def test_full_stderr_meets_an_unguarded_argparse(capsys, monkeypatch):
-    # the same releases let the OSError of a full stderr out of parse_args
+    # the same releases let the OSError of a full stderr out of parse_args;
+    # the CLI's parser writes through its own writer, which exits 2
     class Full(io.StringIO):
         def write(self, text):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", _unguarded_print_message)
+    monkeypatch.setattr(argparse.ArgumentParser, "_print_message", _unreached_print_message)
     monkeypatch.setattr(sys, "stderr", Full())
     assert run(capsys, "tables", "--id", "99")[0] == 2
+    monkeypatch.setattr(sys, "stdout", Full())  # and so does help to a full stdout
+    assert run(capsys, "tables", "--help")[0] == 2
 
 
 # ------------------------------------------------------------------ entry point
