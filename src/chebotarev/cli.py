@@ -16,16 +16,15 @@ disk); numeric mismatches exit 1, success exits 0.
 
 Each command imports only the modules it runs: `verify` loads no
 constants module, and `tables`, `bound` and `params` never load the
-verifier or bessel.
+verifier or bessel.  A format's writer loads with that format: `csv`
+only under --format csv, `json` only under --format jsonl.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
-import json
 import os
 import sys
 from typing import IO, TYPE_CHECKING, NoReturn
@@ -51,12 +50,16 @@ def _fmt(v: float | None) -> str:
 
 def _render_rows(columns: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
         return buf.getvalue()
     if fmt == "jsonl":
+        import json
+
         lines = [json.dumps(dict(zip(columns, r)), sort_keys=True, allow_nan=False) for r in rows]
         return "\n".join(lines) + "\n"
     widths = [max(len(c), *(len(r[i]) for r in rows)) if rows else len(c)
@@ -106,6 +109,8 @@ def _emit_record(payload: dict, lines: list[str], args: argparse.Namespace) -> N
     """Write one record: payload as a JSON object under --format jsonl,
     the command's own key = value lines under csv and markdown."""
     if args.format == "jsonl":
+        import json
+
         text = json.dumps(payload, sort_keys=True, allow_nan=False)
     else:
         text = "\n".join(lines)

@@ -26,20 +26,21 @@ and 1 661 on table 8, so input rounding does not explain their gap to a
 full-precision recomputation.
 
 One exact reader serves both the band and the published-style output: a
-cell is read as a decimal.  The band works out its edges exactly from it,
-and round_like rounds a float's exact binary value at its last digit, so
-a value a hair past a printed boundary is never taken for the boundary
-itself.  round_like rounds up a computed bound, down an exponent
-coefficient (the corollaries floor them) and to nearest an input the
-paper supplies rather than bounds (assembly.Table.rounding).  _read is
-the only parser of the printed syntax; DELTA0 builds its doubles from it.
+cell is read as an integer n and the exponent e of its last printed
+digit, the cell being n 10^e exactly.  The band works out its edges in
+integers and rounds each once to a double, and round_like rounds a
+float's exact binary value (a ratio of integers) at 10^e, so a value a
+hair past a printed boundary is never taken for the boundary itself.
+round_like rounds up a computed bound, down an exponent coefficient (the
+corollaries floor them) and to nearest an input the paper supplies
+rather than bounds (assembly.Table.rounding).  _read is the only parser
+of the printed syntax; DELTA0 builds its doubles from it.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from decimal import MAX_PREC, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal
 
 from .errors import DomainError
 
@@ -63,24 +64,25 @@ __all__ = [
 _SCI = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?)\s*[eE]\s*([+-]?\d+)\s*$")
 
 
-# wide enough that every operation on a double's exact decimal value is exact
-_EXACT = Context(prec=MAX_PREC)
-
-
-def _read(s: str) -> tuple[Decimal, int, int, bool]:
-    """A printed cell exactly: (its decimal value, whose exponent is that of
-    the last printed digit; the mantissa's decimal places; the decimal
-    exponent; scientific?)."""
+def _read(s: str) -> tuple[int, int, int, int, bool]:
+    """A printed cell exactly: (n, e, the mantissa's decimal places, the
+    decimal exponent, scientific?), the cell being n 10^e, so e is the
+    exponent of its last printed digit."""
     m = _SCI.match(s)
     mant, exp = (m.group(1), int(m.group(2))) if m else (s.strip(), 0)
     decimals = len(mant.split(".")[1]) if "." in mant else 0
-    return Decimal(mant).scaleb(exp, _EXACT), decimals, exp, m is not None
+    return int(mant.replace(".", "")), exp - decimals, decimals, exp, m is not None
+
+
+def _ratio(n: int, e: int) -> tuple[int, int]:
+    """n 10^e as (numerator, positive denominator)."""
+    return (n * 10**e, 1) if e >= 0 else (n, 10**-e)
 
 
 def _legacy_double(cell: str) -> float:
     """A cell's mantissa as a double times 10.0 ** exp: not correctly rounded."""
-    value, _, exp, _ = _read(cell)
-    return float(value.scaleb(-exp, _EXACT)) * 10.0 ** exp
+    n, _, decimals, exp, _ = _read(cell)
+    return n / 10**decimals * 10.0 ** exp
 
 
 def matches_printed(computed: float, printed: str, rel_tol: float | None = None) -> bool:
@@ -89,33 +91,48 @@ def matches_printed(computed: float, printed: str, rel_tol: float | None = None)
     Default policy is the open band printed - 2u < computed < printed + 2u;
     a relative tolerance replaces it with the closed band
     |computed - printed| <= rel_tol |printed| when given.  Each edge is
-    worked out exactly from the printed decimal, then rounded once to the
-    nearest double, so the double that stands for an edge (40.1780 against
-    40.1778) lies on it, outside the open band.  A NaN matches nothing.
+    worked out exactly as a ratio of integers, then rounded once to the
+    nearest double (int / int is correctly rounded), so the double that
+    stands for an edge (40.1780 against 40.1778) lies on it, outside the
+    open band.  A NaN matches nothing.
     """
-    target, decimals, exp, _ = _read(printed)
-    if rel_tol is None:
-        half = Decimal(2).scaleb(exp - decimals)
-    else:
-        half = _EXACT.multiply(Decimal(rel_tol), abs(target))
-    lo, hi = float(_EXACT.subtract(target, half)), float(_EXACT.add(target, half))
+    n, e, _, _, _ = _read(printed)
+    if rel_tol is None:  # the edges are (n -+ 2) 10^e
+        q, half = 1, 2
+    else:  # rel_tol = p / q exactly; the edges are (n q -+ p |n|) 10^e / q
+        p, q = rel_tol.as_integer_ratio()
+        half = p * abs(n)
+    (lo, den), (hi, _) = _ratio(n * q - half, e), _ratio(n * q + half, e)
+    lo, hi = lo / (den * q), hi / (den * q)
     return lo < computed < hi if rel_tol is None else lo <= computed <= hi
 
 
-_ROUNDING = {"up": ROUND_CEILING, "down": ROUND_FLOOR, "nearest": ROUND_HALF_EVEN}
+_DIRECTIONS = ("up", "down", "nearest")
 
 
 def round_like(value: float, template: str, direction: str) -> str:
     """The exact binary value of value rounded at the last printed digit of
     the template cell, 'up', 'down' or to 'nearest' (ties to even), in the
-    template's style (plain or scientific)."""
-    if direction not in _ROUNDING:
-        raise DomainError(f"direction must be one of {tuple(_ROUNDING)}, got {direction!r}")
+    template's style (plain or scientific).  A zero result keeps value's
+    sign, so -1e-9 rounded up at three decimals prints -0.000."""
+    if direction not in _DIRECTIONS:
+        raise DomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     if not math.isfinite(value):
         raise DomainError(f"only a finite value can be printed, got {value}")
-    unit, decimals, exp, sci = _read(template)
-    mant = Decimal(value).quantize(unit, _ROUNDING[direction], _EXACT).scaleb(-exp, _EXACT)
-    return f"{mant:.{decimals}f}" + (f"E{exp:+03d}" if sci else "")
+    _, e, decimals, exp, sci = _read(template)
+    a, b = value.as_integer_ratio()
+    unit, unit_den = _ratio(1, e)
+    den = b * unit
+    k, r = divmod(a * unit_den, den)  # value = (k + r / den) 10^e, 0 <= r < den
+    if direction == "up":
+        k += r > 0
+    elif direction == "nearest":
+        k += 2 * r > den or 2 * r == den and k % 2 == 1
+    digits = str(abs(k)).rjust(decimals + 1, "0")
+    if decimals:
+        digits = f"{digits[:-decimals]}.{digits[-decimals:]}"
+    sign = "-" if math.copysign(1.0, value) < 0 else ""
+    return sign + digits + (f"E{exp:+03d}" if sci else "")
 
 
 # Tables with a plain round-up band; ids 7 and 8 use this relative

@@ -361,13 +361,12 @@ def _sieve_segment(lo: int, hi: int, ps: np.ndarray, pattern: np.ndarray) -> Ite
     a = (lo + 1) // 2  # seg[i] stands for the odd number 2(a + i) + 1
     start = a % _WHEEL
     seg = np.resize(pattern[start : start + _WHEEL], (hi + 1) // 2 - a)
-    flags = seg.view(np.uint8)  # striking bytes beats striking bools
     for c in range(0, len(ps), _STRIKE_CHUNK):
         chunk = ps[c : c + _STRIKE_CHUNK]
         # strike from q p, q the least odd multiplier with q p > lo and q >= p
         q = np.maximum((lo // chunk + 1) | 1, chunk)
         for p, i in zip(chunk.tolist(), ((q * chunk - 1) // 2 - a).tolist()):
-            flags[i::p] = 0
+            seg[i::p] = False
     for c in range(0, len(seg), _LIST_CHUNK):
         primes = np.flatnonzero(seg[c : c + _LIST_CHUNK])
         primes *= 2
@@ -410,8 +409,9 @@ def primes_up_to(n: int) -> np.ndarray:
 
 def _chi_moments(half: np.ndarray, chi: np.ndarray) -> list[int]:
     """[sum u, sum chi u, sum chi^2 u] over the u in half, multiplying chi
-    into half in place.  half holds at most _SEGMENT / 2 + 1 values below
-    2^29 and chi is -1, 0 or 1, so every int64 sum is exact."""
+    into half in place.  half holds one list chunk's primes, at most
+    12 245 values below 2^29, and chi is -1, 0 or 1, so every int64 sum is
+    exact."""
     sums = [int(half.sum())]
     for _ in range(2):
         half *= chi
@@ -452,10 +452,13 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
     # vectorised Jacobi symbol takes ~0.5 us a prime
     modulus = abs(D)
     table = _residue_table(D) if modulus <= 10**6 else None
+    root = math.isqrt(top)
     # ledger[j] holds the units in (stops[j-1], stops[j]]: the identity,
     # nontrivial and total first powers, the identity, nontrivial, chi = 0 higher
     ledger = [[0] * 6 for _ in stops]
     for hi, primes in _segments(stops):
+        if not len(primes):
+            continue
         chi = table[primes % modulus] if table is not None else _character(D, primes)
         # p < 2^46 converts exactly, and log p * 2^53 is an integer below 2^58
         units = primes.astype(np.float64)
@@ -464,20 +467,25 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
         units = units.astype(np.int64)
 
         # the total takes every prime of the chunk once, whatever chi says,
-        # less the primes dividing D, which are all <= |D|.  No slice of
-        # primes is bound to a name: that view would keep this chunk's
-        # primes alive into the next chunk's sums
-        r = int(np.searchsorted(primes, modulus, side="right"))
-        ramified = int(units[:r][modulus % primes[:r] == 0].sum())
+        # less the primes dividing D, which are all <= |D|, so only a chunk
+        # that starts at or below |D| looks for them.  No slice of primes is
+        # bound to a name: that view would keep this chunk's primes alive
+        # into the next chunk's sums
+        ramified = 0
+        if primes[0] <= modulus:
+            r = int(np.searchsorted(primes, modulus, side="right"))
+            ramified = int(units[:r][modulus % primes[:r] == 0].sum())
         # higher powers p^m <= top of every p not dividing D need
         # p <= sqrt(top): split p -> identity, inert p -> identity for even m
         # and nontrivial for odd m, chi(p) = 0 -> the total only
-        k = int(np.searchsorted(primes, math.isqrt(top), side="right"))
-        for p, c, u in zip(primes[:k].tolist(), chi[:k].tolist(), units[:k].tolist()):
-            pm, m = p * p, 2
-            while modulus % p and pm <= top:
-                ledger[bisect_left(stops, pm)][5 if c == 0 else 3 if c == 1 or m % 2 == 0 else 4] += u
-                pm, m = pm * p, m + 1
+        if primes[0] <= root:
+            k = int(np.searchsorted(primes, root, side="right"))
+            for p, c, u in zip(primes[:k].tolist(), chi[:k].tolist(), units[:k].tolist()):
+                pm, m = p * p, 2
+                while modulus % p and pm <= top:
+                    col = 5 if c == 0 else 3 if c == 1 or m % 2 == 0 else 4
+                    ledger[bisect_left(stops, pm)][col] += u
+                    pm, m = pm * p, m + 1
 
         # the class sums come from the sums of u, chi u and chi^2 u, taken
         # over each 29-bit half of u.  chi^2 is 1 on split and inert primes,

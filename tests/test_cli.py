@@ -631,6 +631,19 @@ print(json.dumps([[m for m in sys.modules if m == "numpy" or m.startswith("chebo
 """
 
 
+# cli.main(argv) in a fresh process; prints which of decimal, csv and json
+# it loaded, read before json is imported to print them
+_STDLIB_CHILD = """
+import contextlib, io, sys
+from chebotarev import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    cli.main(sys.argv[1:])
+loaded = [m for m in ("decimal", "csv", "json") if m in sys.modules]
+import json
+print(json.dumps(loaded))
+"""
+
+
 def _fresh_python(code, *args, env=None):
     res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
                          env=env)
@@ -707,6 +720,21 @@ class TestStartUp:
         assert "chebotarev.assembly" in modules
         assert "chebotarev.verifier" not in modules
         assert "chebotarev.bessel" not in modules
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["tables", "--id", "5", "--format", "markdown"], []),
+        (["tables", "--id", "5", "--published-style"], []),
+        (["params", "--n0", "5"], []),
+        (["bound", "--nL", "5", "--dL", "1e6", "--logx", "1e5"], []),
+        (["tables", "--id", "5", "--format", "csv"], ["csv"]),
+        (["tables", "--id", "5", "--format", "jsonl"], ["json"]),
+        (["params", "--n0", "5", "--format", "jsonl"], ["json"]),
+        (["bound", "--nL", "5", "--dL", "1e6", "--logx", "1e5", "--format", "csv"], []),
+    ])
+    def test_constants_commands_load_only_their_writer(self, argv, loaded):
+        # printed cells round in integers, and a format's writer loads with
+        # that format only
+        assert _fresh_python(_STDLIB_CHILD, *argv) == loaded
 
     def test_public_names_resolve_lazily(self):
         code = ("import importlib, json, chebotarev\n"

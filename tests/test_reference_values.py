@@ -2,14 +2,16 @@
 
 import math
 import random
-from decimal import MAX_PREC, Context, Decimal, localcontext
+from decimal import (MAX_PREC, ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_EVEN, Context, Decimal,
+                     localcontext)
 
 import pytest
 
 from chebotarev import reference_values as pv
 from chebotarev.errors import DomainError
-from chebotarev.reference_values import (DELTA0, TABLE4, TABLE6, TABLE7_PER_DEGREE, TABLE7_RANGE,
-                                         TABLE8, _read, matches_printed, round_like)
+from chebotarev.reference_values import (DELTA0, GUARD_TABLES_REL_TOL, TABLE4, TABLE6,
+                                         TABLE7_PER_DEGREE, TABLE7_RANGE, TABLE8, _read,
+                                         matches_printed, round_like)
 
 
 class TestParsing:
@@ -25,8 +27,10 @@ class TestParsing:
         ],
     )
     def test_parse(self, text, value):
-        # the exact reader's decimal rounds to the double float() gives
-        assert float(_read(text)[0]) == value
+        # the exact reader's n 10^e rounds to the double float() gives
+        n, e, *_ = _read(text)
+        assert float(Decimal(n).scaleb(e)) == value
+        assert Decimal(n).scaleb(e) == Decimal(text)
 
     @pytest.mark.parametrize(
         "text,unit",
@@ -41,11 +45,11 @@ class TestParsing:
         ],
     )
     def test_last_digit_unit(self, text, unit):
-        # the reader's decimal carries the last printed digit's exponent,
-        # which round_like quantizes at and matches_printed's band scales
-        value, decimals, exp, _ = _read(text)
-        assert value.as_tuple().exponent == exp - decimals
-        assert Decimal(1).scaleb(exp - decimals) == Decimal(repr(unit))
+        # the reader carries the last printed digit's exponent e, which
+        # round_like rounds at and matches_printed's band scales
+        _, e, decimals, exp, _ = _read(text)
+        assert e == exp - decimals == Decimal(text).as_tuple().exponent
+        assert Decimal(1).scaleb(e) == Decimal(repr(unit))
 
     def test_delta0_legacy_bits(self):
         # DELTA0 keeps the bits the benchmark goldens were computed from;
@@ -126,26 +130,67 @@ def test_every_template_is_collected():
     assert {"3", "1E21", "2.26E-03", "1.0073E4", "0.99999", "0.23"} <= set(TEMPLATES)
 
 
+_QUANTIZE = {"up": ROUND_CEILING, "down": ROUND_FLOOR, "nearest": ROUND_HALF_EVEN}
+
+
+def _decimal_round_like(value, template, direction):
+    """round_like's cell from decimal arithmetic, as an independent oracle."""
+    mant_text, _, exp_text = template.upper().partition("E")
+    places, exp = -Decimal(mant_text).as_tuple().exponent, int(exp_text or 0)
+    unit = Decimal(1).scaleb(exp - places)
+    mant = Decimal(value).quantize(unit, _QUANTIZE[direction]).scaleb(-exp)
+    return f"{mant:.{places}f}" + (f"E{exp:+03d}" if exp_text else "")
+
+
 def test_rounding_rule():
-    # values on each template's grid of last-digit units, and one ulp to
-    # either side: up lands on the value or less than a unit above it, down
-    # on it or less than a unit below, nearest within half a unit
+    # values on each template's grid of last-digit units and halfway
+    # between, their negatives, and one ulp to either side of each: up
+    # lands on the value or less than a unit above it, down on it or less
+    # than a unit below, nearest within half a unit, each as the decimal
+    # oracle rounds it; +-0.0 keep their sign
     rng = random.Random(25)
     with localcontext(Context(prec=MAX_PREC)):
         for template in TEMPLATES:
             exact = Decimal(template)
             unit = Decimal(1).scaleb(exact.as_tuple().exponent)
+            values = {0.0, -0.0}
             for k in [0] + [rng.randint(-50, 50) for _ in range(4)]:
-                point = float(exact + k * unit)
-                for v in (math.nextafter(point, -math.inf), point, math.nextafter(point, math.inf)):
-                    x = Decimal(v)
-                    up, down, near = (Decimal(round_like(v, template, d))
-                                      for d in ("up", "down", "nearest"))
-                    assert x <= up < x + unit, (template, v, up)
-                    assert x - unit < down <= x, (template, v, down)
-                    assert abs(near - x) <= unit / 2, (template, v, near)
-                    for printed in (up, down, near):
-                        assert printed.as_tuple().exponent == exact.as_tuple().exponent
+                for offset in (k * unit, (k + Decimal("0.5")) * unit):
+                    for point in (float(exact + offset), -float(exact + offset)):
+                        values |= {math.nextafter(point, -math.inf), point,
+                                   math.nextafter(point, math.inf)}
+            for v in values:
+                x = Decimal(v)
+                up, down, near = (round_like(v, template, d) for d in ("up", "down", "nearest"))
+                for direction, printed in zip(("up", "down", "nearest"), (up, down, near)):
+                    assert printed == _decimal_round_like(v, template, direction), (
+                        template, v, direction, printed)
+                    assert Decimal(printed).as_tuple().exponent == exact.as_tuple().exponent
+                    assert printed.startswith("-") == (math.copysign(1.0, v) < 0)
+                up, down, near = map(Decimal, (up, down, near))
+                assert x <= up < x + unit, (template, v, up)
+                assert x - unit < down <= x, (template, v, down)
+                assert abs(near - x) <= unit / 2, (template, v, near)
+
+
+def test_band_edges():
+    # each band edge and its ulp neighbours, for every template and its
+    # negative, are judged as the decimal oracle judges them: the edge
+    # worked out exactly, then rounded once to a double
+    with localcontext(Context(prec=MAX_PREC)):
+        for template in TEMPLATES:
+            for exact in (Decimal(template), -Decimal(template)):
+                unit = Decimal(1).scaleb(exact.as_tuple().exponent)
+                for rel_tol in (None, GUARD_TABLES_REL_TOL):
+                    half = 2 * unit if rel_tol is None else Decimal(rel_tol) * abs(exact)
+                    lo, hi = float(exact - half), float(exact + half)
+                    printed = str(exact)
+                    for edge in (lo, hi):
+                        for v in (math.nextafter(edge, -math.inf), edge,
+                                  math.nextafter(edge, math.inf)):
+                            inside = lo < v < hi if rel_tol is None else lo <= v <= hi
+                            assert matches_printed(v, printed, rel_tol) == inside, (
+                                printed, rel_tol, v)
 
 
 def test_c0_is_printed_alpha_over_n0_squared():
@@ -158,6 +203,7 @@ def test_c0_is_printed_alpha_over_n0_squared():
     assert len(cells) == 19 + 4 + 20
     with localcontext(Context(prec=30)):
         for n0, c0 in cells:
-            printed, decimals, exp, _ = _read(c0)
-            gap = abs(printed - _read(TABLE6[n0][0])[0] / (n0 * n0))
-            assert gap < Decimal(1).scaleb(exp - decimals), (n0, c0)
+            n, e, *_ = _read(c0)
+            n_alpha, e_alpha, *_ = _read(TABLE6[n0][0])
+            gap = abs(Decimal(n).scaleb(e) - Decimal(n_alpha).scaleb(e_alpha) / (n0 * n0))
+            assert gap < Decimal(1).scaleb(e), (n0, c0)
