@@ -452,13 +452,10 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
     # vectorised Jacobi symbol takes ~0.5 us a prime
     modulus = abs(D)
     table = _residue_table(D) if modulus <= 10**6 else None
-    root = math.isqrt(top)
     # ledger[j] holds the units in (stops[j-1], stops[j]]: the identity,
     # nontrivial and total first powers, the identity, nontrivial, chi = 0 higher
     ledger = [[0] * 6 for _ in stops]
     for hi, primes in _segments(stops):
-        if not len(primes):
-            continue
         chi = table[primes % modulus] if table is not None else _character(D, primes)
         # p < 2^46 converts exactly, and log p * 2^53 is an integer below 2^58
         units = primes.astype(np.float64)
@@ -467,25 +464,20 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
         units = units.astype(np.int64)
 
         # the total takes every prime of the chunk once, whatever chi says,
-        # less the primes dividing D, which are all <= |D|, so only a chunk
-        # that starts at or below |D| looks for them.  No slice of primes is
-        # bound to a name: that view would keep this chunk's primes alive
-        # into the next chunk's sums
-        ramified = 0
-        if primes[0] <= modulus:
-            r = int(np.searchsorted(primes, modulus, side="right"))
-            ramified = int(units[:r][modulus % primes[:r] == 0].sum())
+        # less the primes dividing D, which are all <= |D|.  No slice of
+        # primes is bound to a name: that view would keep this chunk's
+        # primes alive into the next chunk's sums
+        r = int(np.searchsorted(primes, modulus, side="right"))
+        ramified = int(units[:r][modulus % primes[:r] == 0].sum())
         # higher powers p^m <= top of every p not dividing D need
         # p <= sqrt(top): split p -> identity, inert p -> identity for even m
         # and nontrivial for odd m, chi(p) = 0 -> the total only
-        if primes[0] <= root:
-            k = int(np.searchsorted(primes, root, side="right"))
-            for p, c, u in zip(primes[:k].tolist(), chi[:k].tolist(), units[:k].tolist()):
-                pm, m = p * p, 2
-                while modulus % p and pm <= top:
-                    col = 5 if c == 0 else 3 if c == 1 or m % 2 == 0 else 4
-                    ledger[bisect_left(stops, pm)][col] += u
-                    pm, m = pm * p, m + 1
+        k = int(np.searchsorted(primes, math.isqrt(top), side="right"))
+        for p, c, u in zip(primes[:k].tolist(), chi[:k].tolist(), units[:k].tolist()):
+            pm, m = p * p, 2
+            while modulus % p and pm <= top:
+                ledger[bisect_left(stops, pm)][5 if c == 0 else 3 if c == 1 or m % 2 == 0 else 4] += u
+                pm, m = pm * p, m + 1
 
         # the class sums come from the sums of u, chi u and chi^2 u, taken
         # over each 29-bit half of u.  chi^2 is 1 on split and inert primes,

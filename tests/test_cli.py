@@ -616,9 +616,10 @@ class TestEntryPoint:
 # ------------------------------------------------------------------ start-up
 
 # cli.main(argv) in a fresh process; prints the chebotarev modules it
-# loaded (and numpy, if loaded) and its OS thread count
+# loaded (and numpy, decimal, csv and json, if loaded; json is imported
+# only to print them) and its OS thread count
 _CHILD = """
-import contextlib, io, json, os, sys
+import contextlib, io, os, sys
 from chebotarev import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
@@ -626,21 +627,10 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     except SystemExit:
         pass
 threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps([[m for m in sys.modules if m == "numpy" or m.startswith("chebotarev")],
-                  threads]))
-"""
-
-
-# cli.main(argv) in a fresh process; prints which of decimal, csv and json
-# it loaded, read before json is imported to print them
-_STDLIB_CHILD = """
-import contextlib, io, sys
-from chebotarev import cli
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    cli.main(sys.argv[1:])
-loaded = [m for m in ("decimal", "csv", "json") if m in sys.modules]
+modules = [m for m in sys.modules
+           if m in ("numpy", "decimal", "csv", "json") or m.startswith("chebotarev")]
 import json
-print(json.dumps(loaded))
+print(json.dumps([modules, threads]))
 """
 
 
@@ -734,7 +724,7 @@ class TestStartUp:
     def test_constants_commands_load_only_their_writer(self, argv, loaded):
         # printed cells round in integers, and a format's writer loads with
         # that format only
-        assert _fresh_python(_STDLIB_CHILD, *argv) == loaded
+        assert _fresh_cli(*argv)[0] & {"decimal", "csv", "json"} == set(loaded)
 
     def test_public_names_resolve_lazily(self):
         code = ("import importlib, json, chebotarev\n"

@@ -299,32 +299,6 @@ class TestPrimeInfrastructure:
                 assert abs(r.psi_identity - o_ident) < 1e-9
                 assert abs(r.psi_nontrivial - o_non) < 1e-9
 
-    def test_chunk_edges_around_the_discriminant_and_the_root(self, monkeypatch):
-        # a chunk looks for primes dividing D only when its first prime is
-        # <= |D|, and for higher powers only when it is <= sqrt(top) = 70.
-        # Chunks of 1, 7 and 64 flags put chunk edges on each side of both
-        # (|D| = 12 lies below the root, 1447 and 1451 between the root and
-        # top, 1000003 above top), and chunks of 1 flag are often empty
-        grid = [5000.0, 1447.0, 1446.0, 4900.0, 4899.0, 97.0, 2.0]
-        primes = np.array(trial_primes(5000))
-        logs = np.log(primes.astype(np.float64))
-        for D in (12, -1447, -1451, -1000003):
-            field = QuadraticField(D)
-            whole = equidist_report(field, grid)
-            chi = np.array([kronecker_symbol(D, int(p)) for p in primes])
-            assert [(r.psi_identity, r.psi_nontrivial, r.unramified_total) for r in whole] == \
-                [fsum_reference(primes, chi, logs, x) for x in grid]
-            oracle = [psi_oracle(D, x) for x in grid]
-            for segment, chunk in ((97, 1), (97, 7), (1000, 64), (15016, 7)):
-                monkeypatch.setattr(verifier, "_SEGMENT", segment)
-                monkeypatch.setattr(verifier, "_LIST_CHUNK", chunk)
-                rows = equidist_report(field, grid)
-                assert rows == whole, (D, segment, chunk)
-                for r, (o_ident, o_non) in zip(rows, oracle):
-                    assert abs(r.psi_identity - o_ident) < 1e-9
-                    assert abs(r.psi_nontrivial - o_non) < 1e-9
-            monkeypatch.undo()
-
     def test_class_sums_stay_exact(self):
         # every prime swept is at most MAX_SIEVE_LIMIT < e^32, so its log in
         # units of 2^-53 is below 2^58 and each 29-bit half below 2^29.  A
