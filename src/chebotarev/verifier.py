@@ -25,19 +25,23 @@ period of a wheel pattern.  Log sums run exactly on integers in units of
 
 Importing this module builds no array, and nothing outlives a sweep.  One
 sweep holds the wheel pattern (30 030 flags), the base primes up to
-sqrt(x), the character's table of residues mod |D| (for |D| <= 10^6;
-above, a segment's character is a vectorised Jacobi symbol), six integer
-sums per grid point and one segment at a time.  A segment's 2^19
-flags stay while its primes are listed and classified one chunk of 2^16
-flags at a time, so at most 12 245 primes are held at once, not a
-segment's 82 025.  A chunk's class sums take the primes' logs as int64,
-split into two 29-bit halves, and multiply the character values into
-each half in place: no class-index array and no weighted copies.
+sqrt(x), the character's tables, six integer sums per grid point and one
+segment at a time.  Every D takes one path: (D/p) is a product of
+tables of its local characters, each at most 10^6 long (for |D| <= 10^6,
+the one table of residues mod |D|), and of a vectorised Jacobi symbol
+(p/m) when trial division up to 1000 leaves an odd part m above 10^6.
+A segment's 2^19 flags stay while its primes are listed and classified
+one chunk of 2^16 flags at a time, so at most 12 245 primes are held at
+once, not a segment's 82 025.  A chunk's class sums take the primes'
+logs as int64, split into two 29-bit halves, and multiply the character
+values into each half in place: no class-index array and no weighted
+copies.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import operator
 from bisect import bisect_left, bisect_right
@@ -275,39 +279,48 @@ def _wheel_pattern() -> np.ndarray:
 
 
 # (D_2/r) over one period of r, for each 2-part D_2 a fundamental
-# discriminant can have: chi_-4, chi_8 and chi_-8
-_TWO_PART = {-4: (0, 1, 0, -1), 8: (0, 1, 0, -1, 0, -1, 0, 1), -8: (0, 1, 0, 1, 0, -1, 0, -1)}
+# discriminant can have: none, chi_-4, chi_8 and chi_-8
+_TWO_PART = {1: (1,), -4: (0, 1, 0, -1),
+             8: (0, 1, 0, -1, 0, -1, 0, 1), -8: (0, 1, 0, 1, 0, -1, 0, -1)}
+_TABLE_CAP = 10**6  # the largest tabled prime, and the longest table
 
 
-def _residue_table(D: int) -> np.ndarray:
-    """(D/r) for r = 0 .. |D|-1, int8, for a fundamental discriminant D.
+def _character_tables(D: int) -> tuple[list[np.ndarray], int]:
+    """(tables, m) with (D/p) = (p/m) prod t[p mod len(t)] over the tables
+    t, int8, for every prime p and a fundamental discriminant D; m is odd.
 
     chi_D is the product of its local characters: the Legendre symbol
-    (r/q) for each odd prime q dividing D, and chi_-4, chi_8 or chi_-8 for
-    the 2-part D_2 = D / prod q*, where q* = +-q = 1 mod 4.  Each factor has
-    period q (or 4, 8) dividing |D|, so it enters as its table tiled."""
+    (p/q) for each odd prime q dividing D, and chi_-4, chi_8 or chi_-8 for
+    the 2-part D_2 = D / prod q*, where q* = +-q = 1 mod 4.  Trial division
+    up to sqrt(_TABLE_CAP) tables each q it finds.  What is left has no
+    prime factor below 1000, so at most the cap it is 1 or a prime, tabled
+    too.  Above the cap it is m, unfactored (with two or more primes it may
+    hold some below the cap): the q* of its primes multiply to m* = +-m = 1
+    mod 4 and their Legendre symbols to the Jacobi symbol (p/m).  A table
+    multiplies into the one before it, both tiled to the product of their
+    periods, while that stays at most the cap, so every |D| <= _TABLE_CAP
+    has the one table (D/r), r = 0 .. |D|-1."""
     modulus = abs(D)
     m = modulus // (modulus & -modulus)  # the odd part, squarefree
-    odd_primes, q = [], 3
-    while q * q <= m:
+    tabled = []
+    for q in range(3, math.isqrt(_TABLE_CAP) + 1, 2):  # 499 steps
         if m % q == 0:
-            odd_primes.append(q)
+            tabled.append(q)
             m //= q
-        q += 2
-    if m > 1:
-        odd_primes.append(m)
-    table = np.ones(modulus, dtype=np.int8)
-    odd = 1
-    for q in odd_primes:
+    if 1 < m <= _TABLE_CAP:
+        tabled, m = [*tabled, m], 1
+    odd = math.prod(q if q % 4 == 1 else -q for q in (*tabled, m))
+    tables = [np.array(_TWO_PART[D // odd], dtype=np.int8)]
+    for q in tabled:
         legendre = np.full(q, -1, dtype=np.int8)
         legendre[0] = 0
-        legendre[np.arange(1, q) ** 2 % q] = 1  # squares < 10^12 fit int64
-        table *= np.tile(legendre, modulus // q)
-        odd *= q if q % 4 == 1 else -q
-    if D != odd:
-        two = _TWO_PART[D // odd]
-        table *= np.tile(np.array(two, dtype=np.int8), modulus // len(two))
-    return table
+        for k in range(1, q, 2**16):  # squares < 10^12 fit int64, 512 KiB at a time
+            legendre[np.arange(k, min(k + 2**16, q)) ** 2 % q] = 1
+        if len(tables[-1]) * q > _TABLE_CAP:
+            tables.append(legendre)
+        else:
+            tables[-1] = np.tile(tables[-1], q) * np.tile(legendre, len(tables[-1]))
+    return tables, m
 
 
 _ODD_POWERS = 0x2AAAAAAAAAAAAAAA  # bits 1, 3, ..., 61: the 2^t < 2^63 with t odd
@@ -340,15 +353,13 @@ def _jacobi(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     return out
 
 
-def _character(D: int, primes: np.ndarray) -> np.ndarray:
-    """(D/p), int8, for the ascending primes p of primes and |D| <= 10^18:
-    the (D/2) rule at p = 2 and, for odd p, the Jacobi symbol of
-    (D mod p, p)."""
-    head = int(primes[:1].tolist() == [2])
-    chi = np.empty(len(primes), dtype=np.int8)
-    chi[:head] = 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
-    odd = primes[head:]
-    chi[head:] = _jacobi(np.remainder(np.int64(D), odd), odd)
+def _chi(primes: np.ndarray, tables: list[np.ndarray], m: int) -> np.ndarray:
+    """(p/m) prod t[p mod len(t)], int8, for the primes p, from
+    _character_tables: one gather per table, and one Jacobi symbol per
+    prime when m > 1."""
+    chi = functools.reduce(operator.imul, [t[primes % len(t)] for t in tables])
+    if m > 1:
+        chi *= _jacobi(primes % m, np.full_like(primes, m))
     return chi
 
 
@@ -447,16 +458,13 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
         raise ResourceError(f"x = {max(xs)} exceeds the sieve limit {lim}")
     stops = sorted({math.floor(x) for x in xs})
     top = stops[-1]
-    # (D/p) is a character mod |D|.  Up to |D| = 10^6 its table takes a few
-    # ms at most to build and a lookup ~7 ns a prime; above that, the
-    # vectorised Jacobi symbol takes ~0.5 us a prime
     modulus = abs(D)
-    table = _residue_table(D) if modulus <= 10**6 else None
+    tables, cofactor = _character_tables(D)
     # ledger[j] holds the units in (stops[j-1], stops[j]]: the identity,
     # nontrivial and total first powers, the identity, nontrivial, chi = 0 higher
     ledger = [[0] * 6 for _ in stops]
     for hi, primes in _segments(stops):
-        chi = table[primes % modulus] if table is not None else _character(D, primes)
+        chi = _chi(primes, tables, cofactor)
         # p < 2^46 converts exactly, and log p * 2^53 is an integer below 2^58
         units = primes.astype(np.float64)
         np.log(units, out=units)

@@ -282,27 +282,24 @@ class TestVerifyCommand:
     def test_partition_check_sees_a_broken_character(self, capsys, monkeypatch):
         # a character that calls every prime 3 mod 4 ramified drops them from
         # both classes; the unramified total counts them without the character
+        import numpy as np
+
         from chebotarev import verifier
 
-        # both ways the sweep reads the character: the residue table up to
-        # |D| = 10^6, the vectorised Jacobi symbol above
-        right_table, right_character = verifier._residue_table, verifier._character
+        # every D's character comes from its tables and Jacobi cofactor: a
+        # table [1, 1, 1, 0] of period 4 more zeroes every prime 3 mod 4
+        right = verifier._character_tables
 
-        def broken_table(D):
-            table = right_table(D)
-            table[3::4] = 0
-            return table
+        def broken_tables(D):
+            tables, m = right(D)
+            return [*tables, np.array([1, 1, 1, 0], dtype=np.int8)], m
 
-        def broken_character(D, primes):
-            chi = right_character(D, primes)
-            chi[primes % 4 == 3] = 0
-            return chi
-
-        monkeypatch.setattr(verifier, "_residue_table", broken_table)
-        monkeypatch.setattr(verifier, "_character", broken_character)
-        # x = 20: log(3 7 11 19) + log 3 from 9 = 3^2 for D = -4, and
-        # log(7 11 19) for D = 3 5 66667, where 3 ramifies
-        for disc, lost in (("-4", 3 * 7 * 11 * 19 * 3), ("1000005", 7 * 11 * 19)):
+        monkeypatch.setattr(verifier, "_character_tables", broken_tables)
+        # x = 20: log(3 7 11 19) + log 3 from 9 = 3^2 for D = -4 and for
+        # -26908631, a prime whose character is all Jacobi cofactor, and
+        # log(7 11 19) for D = 3 5 163 409, where 3 ramifies
+        for disc, lost in (("-4", 3 * 7 * 11 * 19 * 3), ("-26908631", 3 * 7 * 11 * 19 * 3),
+                           ("1000005", 7 * 11 * 19)):
             code, out, _ = run(capsys, "verify", "--disc", disc, "--x-grid", "20,1000",
                                "--format", "csv")
             assert code == 0

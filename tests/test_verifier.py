@@ -212,45 +212,57 @@ class TestKronecker:
             for p in trial_primes(300):
                 assert kronecker_symbol(D, p) == splitting_by_square_search(D, p)
 
-    def test_residue_table_matches_symbol(self):
-        # the table built from the local characters of D is (D/r) itself:
-        # every residue of every fundamental |D| < 1000, and a seeded sample
-        # at the table's cut-off |D| <= 10^6
+    # fundamental D beyond |D| < 1000, each with the periods of its tables
+    # and its Jacobi cofactor m
+    CHARACTER_DISCS = {
+        -999983: ([999983], 1),  # the largest prime below the cap, tabled
+        -999995: ([999995], 1),  # 5 * 199 999: one table at the cap
+        -1000003: ([1], 1000003),  # the least prime above it, a cofactor
+        4000012: ([4], 1000003),  # the 2-part -4 = 4 * 1 000 003 / -1 000 003
+        8000264: ([8], 1000033),  # the 2-part 8 = 8 * 1 000 033 / 1 000 033
+        8000024: ([8], 1000003),  # the 2-part -8 = 8 * 1 000 003 / -1 000 003
+        -84604451: ([67], 1262753),  # 67 tabled, one prime above the cap
+        -26908631: ([1], 26908631),  # the whole odd part a cofactor, m = 3 mod 4
+        -1000036000099: ([1], 1000036000099),  # two primes above, m = 3 mod 4
+        1000042000117: ([1], 1000042000117),  # two primes above, m = 1 mod 4
+        1000005: ([2445, 409], 1),  # 3 5 163 | 409: two tables
+        -2728568: ([136, 20063], 1),  # -8 17 | 20 063
+        3999932: ([4, 999983], 1),  # 4 | 999 983
+        -3999999: ([2001, 1999], 1),  # 3 23 29 | 1 999
+        # near MAX_ABS_DISC: trial division stops at 1 000, so the cofactor
+        # may hold primes below the cap when it holds two or more
+        999999999999999989: ([1], 999999999999999989),
+        -999999999999999867: ([271029], 1087 * 11959 * 283831),
+        999999999999999996: ([4 * 3 * 43 * 691, 983], 3943 * 723589),
+        -999999999999999988: ([4 * 11], 22727272727272727),
+    }
+
+    def test_character_matches_symbol(self):
+        # (D/p) = (p/m) prod t[p mod len(t)].  Every fundamental |D| < 1000
+        # has one table, of (D/r) at every residue r, and m = 1
         for D in range(-999, 1000):
             if verifier.is_fundamental_discriminant(D):
+                tables, m = verifier._character_tables(D)
+                assert ([len(t) for t in tables], m) == ([abs(D)], 1), D
                 want = [kronecker_symbol(D, r) for r in range(abs(D))]
-                assert verifier._residue_table(D).tolist() == want, D
-        rng = random.Random(20261018)
-        for D in (-999995, 999997):
-            table = verifier._residue_table(D)
-            assert table.dtype == np.int8 and len(table) == abs(D)
-            for r in rng.sample(range(abs(D)), 10_000):
-                assert table[r] == kronecker_symbol(D, r), (D, r)
-
-    # |D| above the table's cut-off, negative ones and ones near the cap
-    # 10^18 included, in every class mod 8: the symbol needs no fundamental D
-    WIDE_DISCS = (1000005, -1000003, 1000012, -1000024, 4000001, 1000003, -1000001,
-                  999999999999999901, -999999999999999903, 10**18, -(10**18))
-
-    def test_vectorised_character_on_small_primes(self):
-        # every prime below 10^6, 2 included
-        primes = primes_up_to(10**6)
-        for D in self.WIDE_DISCS:
-            want = [kronecker_symbol(D, p) for p in primes.tolist()]
-            assert verifier._character(D, primes).tolist() == want, D
-
-    def test_vectorised_character_near_the_sieve_cap(self):
+                assert verifier._chi(np.arange(abs(D)), tables, m).tolist() == want, D
+        # the others at every prime below 10^6, 2 included, and 300 near the
+        # sieve cap
         rng = random.Random(20261018)
         cap = verifier.MAX_SIEVE_LIMIT
-        primes = []
-        while len(primes) < 300:
+        near_cap = set()
+        while len(near_cap) < 300:
             n = rng.randrange(cap - 10**9, cap) | 1
             if is_prime(n):
-                primes.append(n)
-        primes = np.array(sorted(primes), dtype=np.int64)
-        for D in self.WIDE_DISCS:
+                near_cap.add(n)
+        primes = np.concatenate([primes_up_to(10**6), np.array(sorted(near_cap))])
+        for D, data in self.CHARACTER_DISCS.items():
+            assert verifier.is_fundamental_discriminant(D), D
+            tables, m = verifier._character_tables(D)
+            assert ([len(t) for t in tables], m) == data, D
+            assert all(t.dtype == np.int8 for t in tables), D
             want = [kronecker_symbol(D, p) for p in primes.tolist()]
-            assert verifier._character(D, primes).tolist() == want, D
+            assert verifier._chi(primes, tables, m).tolist() == want, D
 
     def test_jacobi_up_to_int64(self):
         # odd n, prime or not, up to 2^63 - 1: no value leaves int64
@@ -329,15 +341,15 @@ class TestPrimeInfrastructure:
         assert res.stdout.strip() == "0"
 
     @staticmethod
-    def sweep_peak(x: float, segment: int) -> int:
-        """tracemalloc peak of one sweep of D = 5 to x, in a fresh process;
+    def sweep_peak(x: float, segment: int, D: int = 5) -> int:
+        """tracemalloc peak of one sweep of D to x, in a fresh process;
         tracemalloc sees numpy's array data."""
         code = ("import tracemalloc\n"
                 "import numpy\n"
                 "from chebotarev import verifier\n"
                 f"verifier._SEGMENT = {segment}\n"
                 "tracemalloc.start()\n"
-                f"verifier._sweep(5, [{x}], 10**9)\n"
+                f"verifier._sweep({D}, [{x}], 10**9)\n"
                 "print(tracemalloc.get_traced_memory()[1])\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
@@ -362,6 +374,19 @@ class TestPrimeInfrastructure:
         # ~37 KiB more
         small, large = self.sweep_peak(2**22, 2**16), self.sweep_peak(2**24, 2**16)
         assert large - small < 16 * 2**10
+
+    def test_sweep_peak_memory_with_character_data(self):
+        # the same sweep holds, besides, its character's tables and, with a
+        # Jacobi cofactor, that symbol's working arrays for one chunk.
+        # 4 * 999 983 has the tables 4 and 999 983 (0.95 MiB); one table
+        # mod |D| would take 3.8 MiB
+        tables = 4 + 999983
+        assert self.sweep_peak(3e6, 2**20, 4 * 999983) < 1.25 * 2**20 + tables
+        # -26 908 631 is prime and all cofactor: while its Jacobi symbol
+        # runs it holds at most ten int64 arrays of the first chunk's 12 245
+        # primes (0.93 MiB; 9.5 measured)
+        jacobi = 10 * 12245 * 8
+        assert self.sweep_peak(3e6, 2**20, -26908631) < 1.25 * 2**20 + 1 + jacobi
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB")
     def test_strike_near_the_cap(self):
