@@ -29,7 +29,7 @@ sqrt(x), the character's tables, six integer sums per grid point and one
 segment at a time.  Every D takes one path: (D/p) is a product of
 tables of its local characters, each at most 10^6 long (for |D| <= 10^6,
 the one table of residues mod |D|), and of a vectorised Jacobi symbol
-(p/m) when trial division up to 1000 leaves an odd part m above 10^6.
+(p/m) when D has prime factors above 10^6, m their product.
 A segment's 2^19 flags stay while its primes are listed and classified
 one chunk of 2^16 flags at a time, so at most 12 245 primes are held at
 once, not a segment's 82 025.  A chunk's class sums take the primes'
@@ -45,7 +45,7 @@ import functools
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +75,9 @@ DEFAULT_SIEVE_LIMIT = 10**9
 # and float64 holds every prime exactly; sqrt of the cap, 2^23, bounds the
 # base primes
 MAX_SIEVE_LIMIT = 2**46
-# deciding squarefreeness trial-divides up to the cube root of |D|: at most
-# 10^6 steps, a fraction of a second, up to this cap
+# D is decomposed by one sieve up to min(sqrt|D|, 10^6): up to this cap,
+# 10^6 cubed, what is left then has at most two prime factors, so a
+# perfect-square test decides squarefreeness, and every value fits int64
 MAX_ABS_DISC = 10**18
 _SEGMENT = 2**20  # numbers per segment: its odd-number flags take 512 KiB
 _STRIKE_CHUNK = 4096  # striking primes per list: one list a segment below x = 1.5e9
@@ -106,24 +107,6 @@ def _whole(n: object, what: str) -> int:
         raise DomainError(f"{what} must be an integer, got {n!r}") from None
 
 
-def _squarefree(n: int) -> bool:
-    """True when no prime square divides n.  Trial division stops once
-    d^3 > n: what is left of n then has no prime factor below d, so it has
-    at most two prime factors (three would exceed it), and it is squarefree
-    exactly when it is not a perfect square above 1."""
-    n = abs(n)
-    if n == 0:
-        return False
-    d = 2
-    while d * d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return False
-        d += 1 if d == 2 else 2
-    return n == 1 or math.isqrt(n) ** 2 != n
-
-
 def is_fundamental_discriminant(D: int) -> bool:
     """True for D = 1 mod 4 squarefree (D != 1), or D = 4d with
     d = 2, 3 mod 4 squarefree.  DomainError for |D| > MAX_ABS_DISC, and for
@@ -131,16 +114,10 @@ def is_fundamental_discriminant(D: int) -> bool:
     5.0 is not one."""
     if not isinstance(D, (int, np.integer)):
         raise DomainError(f"D must be an integer, got {D!r}")
+    D = int(D)
     if abs(D) > MAX_ABS_DISC:
         raise DomainError(f"|D| must be at most {MAX_ABS_DISC:.0e}, got {D}")
-    if D in (0, 1):
-        return False
-    if D % 4 == 1:
-        return _squarefree(D)
-    if D % 4 == 0:
-        d = D // 4
-        return d % 4 in (2, 3) and _squarefree(d)
-    return False
+    return D not in (0, 1) and _local_parts(D) is not None
 
 
 def kronecker_symbol(a: int, n: int) -> int:
@@ -241,6 +218,8 @@ class QuadraticField:
                 f"{self.D} is not a fundamental discriminant "
                 "(need D=1 mod 4 squarefree, or 4d with d=2,3 mod 4 squarefree)"
             )
+        # a numpy integer D would take numpy's overflowing scalar arithmetic
+        object.__setattr__(self, "D", int(self.D))
 
 
 @dataclass(frozen=True)
@@ -285,33 +264,48 @@ _TWO_PART = {1: (1,), -4: (0, 1, 0, -1),
 _TABLE_CAP = 10**6  # the largest tabled prime, and the longest table
 
 
+def _local_parts(D: int) -> tuple[int, list[int], int] | None:
+    """(D_2, qs, m) with D = D_2 prod q* m* for an int D != 0, where
+    q* = +-q and m* = +-m are 1 mod 4, qs the primes up to _TABLE_CAP
+    dividing D's odd part, ascending, and m what is left of it.  None when
+    the odd part is not squarefree or D_2 is not a key of _TWO_PART, which
+    for D not 0 or 1 is exactly when D is not fundamental.
+
+    One sieve up to min(sqrt(odd), _TABLE_CAP) finds the qs.  Below
+    _TABLE_CAP^2 that leaves m = 1 or the one prime above sqrt(odd), which
+    joins qs when at most the cap; above it m has at most two primes, all
+    above the cap (three would pass MAX_ABS_DISC = _TABLE_CAP^3), and is
+    squarefree unless it is a perfect square."""
+    modulus = abs(D)
+    odd = modulus // (modulus & -modulus)
+    small = primes_up_to(min(math.isqrt(odd), _TABLE_CAP))
+    qs = small[odd % small == 0].tolist()
+    tabled = math.prod(qs)
+    m = odd // tabled
+    if math.gcd(m, tabled) > 1 or (m > 1 and math.isqrt(m) ** 2 == m):
+        return None
+    if 1 < m <= _TABLE_CAP:
+        qs, m = [*qs, m], 1
+    two = D // math.prod(q if q % 4 == 1 else -q for q in (*qs, m))
+    return (two, qs, m) if two in _TWO_PART else None
+
+
 def _character_tables(D: int) -> tuple[list[np.ndarray], int]:
     """(tables, m) with (D/p) = (p/m) prod t[p mod len(t)] over the tables
     t, int8, for every prime p and a fundamental discriminant D; m is odd.
 
     chi_D is the product of its local characters: the Legendre symbol
     (p/q) for each odd prime q dividing D, and chi_-4, chi_8 or chi_-8 for
-    the 2-part D_2 = D / prod q*, where q* = +-q = 1 mod 4.  Trial division
-    up to sqrt(_TABLE_CAP) tables each q it finds.  What is left has no
-    prime factor below 1000, so at most the cap it is 1 or a prime, tabled
-    too.  Above the cap it is m, unfactored (with two or more primes it may
-    hold some below the cap): the q* of its primes multiply to m* = +-m = 1
-    mod 4 and their Legendre symbols to the Jacobi symbol (p/m).  A table
-    multiplies into the one before it, both tiled to the product of their
-    periods, while that stays at most the cap, so every |D| <= _TABLE_CAP
-    has the one table (D/r), r = 0 .. |D|-1."""
-    modulus = abs(D)
-    m = modulus // (modulus & -modulus)  # the odd part, squarefree
-    tabled = []
-    for q in range(3, math.isqrt(_TABLE_CAP) + 1, 2):  # 499 steps
-        if m % q == 0:
-            tabled.append(q)
-            m //= q
-    if 1 < m <= _TABLE_CAP:
-        tabled, m = [*tabled, m], 1
-    odd = math.prod(q if q % 4 == 1 else -q for q in (*tabled, m))
-    tables = [np.array(_TWO_PART[D // odd], dtype=np.int8)]
-    for q in tabled:
+    the 2-part D_2 = D / prod q*, where q* = +-q = 1 mod 4.  Each q up to
+    _TABLE_CAP is tabled; the primes above it are left in m, unfactored:
+    their q* multiply to m* = +-m = 1 mod 4 and their Legendre symbols to
+    the Jacobi symbol (p/m).  A table multiplies into the one before it,
+    both tiled to the product of their periods, while that stays at most
+    the cap, so every |D| <= _TABLE_CAP has the one table (D/r),
+    r = 0 .. |D|-1."""
+    two, qs, m = _local_parts(D)
+    tables = [np.array(_TWO_PART[two], dtype=np.int8)]
+    for q in qs:
         legendre = np.full(q, -1, dtype=np.int8)
         legendre[0] = 0
         for k in range(1, q, 2**16):  # squares < 10^12 fit int64, 512 KiB at a time
@@ -530,7 +524,7 @@ def psi_C_exact(
 
 
 def equidist_report(
-    field: QuadraticField, x_grid: list[float], limit: int | None = None
+    field: QuadraticField, x_grid: Iterable[float], limit: int | None = None
 ) -> list[EquidistRow]:
     """Evaluate both classes on a grid of x values.
 
@@ -542,12 +536,14 @@ def equidist_report(
     grows by log p for each unramified p^m the character drops.
     tests/test_verifier.py::TestEquidistReport::test_partition_against_chebyshev_psi
     checks unramified_total itself against the Chebyshev psi from trial
-    division.
+    division.  x_grid is any iterable of x (a list, a tuple, an array or a
+    generator), read once.
     """
+    xs = list(x_grid)
     return [
         EquidistRow(x=x, psi_identity=ident, psi_nontrivial=nontriv,
                     ec_identity=abs(ident - x / 2.0) / (x / 2.0),
                     ec_nontrivial=abs(nontriv - x / 2.0) / (x / 2.0),
                     unramified_total=total)
-        for x, (ident, nontriv, total) in zip(x_grid, _sweep(field.D, x_grid, limit))
+        for x, (ident, nontriv, total) in zip(xs, _sweep(field.D, xs, limit))
     ]

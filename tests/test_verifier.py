@@ -138,17 +138,21 @@ class TestFundamentalDiscriminants:
             assert is_fundamental_discriminant(D) == expected
 
     def test_squarefree_matches_sieve(self):
+        # D = +-n = 1 mod 4 has the 2-part 1, so _local_parts decides
+        # whether the odd n is squarefree
         N = 10**5
         squarefree = [True] * N
         squarefree[0] = False
         for d in range(2, math.isqrt(N) + 1):
             for m in range(d * d, N, d * d):
                 squarefree[m] = False
-        assert [verifier._squarefree(n) for n in range(N)] == squarefree
+        assert [verifier._local_parts(n if n % 4 == 1 else -n) is not None
+                for n in range(1, N, 2)] == squarefree[1::2]
 
     def test_squarefree_products_above_the_cube_root(self):
-        # the trial division stops at the cube root, so what decides these
-        # is the perfect-square test on the cofactor
+        # above 10^12 the sieve stops at 10^6, so what is left holds two
+        # primes above it, or the square of one, and the perfect-square
+        # test decides these
         rng = random.Random(20261018)
 
         def prime(lo, hi):
@@ -156,14 +160,30 @@ class TestFundamentalDiscriminants:
                 pass
             return p
 
+        def star(n):
+            return n if n % 4 == 1 else -n
+
         for _ in range(200):
-            p, q = prime(10**4, 10**5), prime(2, 10**5)
+            p, q, r = prime(10**6, 10**7), prime(10**6, 10**7), prime(3, 10**3)
             if p == q:
                 continue
-            for n in (p * q, p * q * prime(2, 10**3)):
-                assert verifier._squarefree(n) and verifier._squarefree(-n)
-            for n in (p * p, p * p * q, q * q * p):
-                assert not verifier._squarefree(n)
+            for n, qs in ((p * q, []), (p * q * r, [r])):
+                assert verifier._local_parts(star(n)) == (1, qs, p * q)
+                assert verifier._local_parts(-4 * star(n)) == (-4, qs, p * q)
+            for n in (p * p, p * p * r, r * r * p):
+                assert verifier._local_parts(star(n)) is None
+                assert verifier._local_parts(-8 * star(n)) is None
+
+    def test_numpy_integer_D(self):
+        # D is read as an int: in numpy's scalar arithmetic abs(-2^63)
+        # overflows past the cap, and so does the sweep's 2-part of an
+        # unsigned D.  A RuntimeWarning from the package fails the test
+        with pytest.raises(DomainError, match="at most"):
+            is_fundamental_discriminant(np.int64(-2**63))
+        assert not is_fundamental_discriminant(np.int8(-128))
+        field = QuadraticField(np.uint32(5))
+        assert type(field.D) is int
+        assert psi_pair(field, 1000) == psi_pair(QuadraticField(5), 1000)
 
     def test_discriminant_cap(self):
         cap = verifier.MAX_ABS_DISC
@@ -229,11 +249,12 @@ class TestKronecker:
         -2728568: ([136, 20063], 1),  # -8 17 | 20 063
         3999932: ([4, 999983], 1),  # 4 | 999 983
         -3999999: ([2001, 1999], 1),  # 3 23 29 | 1 999
-        # near MAX_ABS_DISC: trial division stops at 1 000, so the cofactor
-        # may hold primes below the cap when it holds two or more
+        1022117: ([1009, 1013], 1),  # two primes above 1 000, both tabled
+        # near MAX_ABS_DISC: every prime up to the cap is tabled, however
+        # many D has, so a cofactor holds only primes above it
         999999999999999989: ([1], 999999999999999989),
-        -999999999999999867: ([271029], 1087 * 11959 * 283831),
-        999999999999999996: ([4 * 3 * 43 * 691, 983], 3943 * 723589),
+        -999999999999999867: ([271029, 1087, 11959, 283831], 1),
+        999999999999999996: ([4 * 3 * 43 * 691, 983, 3943, 723589], 1),
         -999999999999999988: ([4 * 11], 22727272727272727),
     }
 
@@ -496,6 +517,14 @@ class TestEquidistReport:
         for r in rows:
             assert abs(r.psi_identity + r.psi_nontrivial - r.unramified_total) < 1e-9
         assert equidist_report(field, []) == []
+
+    def test_grid_is_read_once(self):
+        # an array, a tuple and a generator give the list's rows
+        field = QuadraticField(5)
+        grid = [10.0, 100.0, 1000.0]
+        want = equidist_report(field, grid)
+        for xs in (np.array(grid), tuple(grid), (x for x in grid)):
+            assert equidist_report(field, xs) == want
 
     def test_partition_against_chebyshev_psi(self):
         # independent check: full Chebyshev psi minus the p = 2 powers
