@@ -48,7 +48,7 @@ from typing import Any
 
 from . import reference_values as pv
 from .constants import EllConstants, TuningConfig, compute_ells
-from .errors import DomainError, SearchError
+from .errors import DomainError, SearchError, integer
 from .invariants import _TOP_N0, FieldParams, lambda_0, lambda_L, minkowski_lookup
 from .zeros import R2, _bisect
 
@@ -160,7 +160,7 @@ def standard_config(n0: int, beta0_present: bool) -> TuningConfig:
         raise DomainError(f"n0 must be a table row in 2..21, got {n0}")
     if beta0_present not in (True, False):
         raise DomainError(f"beta0_present must be True or False, got {beta0_present!r}")
-    return TuningConfig(minkowski_lookup(n0), pv.DELTA0[(n0, beta0_present)], beta0_present)
+    return TuningConfig(minkowski_lookup(n0), pv.DELTA0[(n0, beta0_present)], bool(beta0_present))
 
 
 def curly_N0(cfg: TuningConfig, Y0: float) -> float:
@@ -191,8 +191,7 @@ def final_constants(cfg: TuningConfig, k: int = 1) -> FinalConstants:
     k <= ((1/M) sqrt(alpha/R2) - 1)/2 for the bracketed factor of the
     log-form bound to be decreasing on the admissible range.
     """
-    if not k >= 0:
-        raise DomainError(f"k must be >= 0, got {k}")
+    k = integer(k, "k", 0)
     if k > _k_max(cfg):
         raise DomainError(f"k={k} exceeds the admissible maximum {_k_max(cfg):.3f}")
 
@@ -429,6 +428,7 @@ def _bound_report(
     # epsilon = coeff e^(-rate), with rate 0 in the log form; computed early,
     # the coefficient raises on no input whose threshold computes
     f = _finals_cached(min(field.n_L, _TOP_N0), beta0_present)
+    beta0_present = f.cfg.beta0_present  # a bool, where 1 or np.True_ may have been passed
     n = field.n_L
     refined = n <= f.N0
     root = math.sqrt(log_x / n)
@@ -630,8 +630,7 @@ def generate_table(table_id: int, beta0: str = "both") -> Table:
     'both') of tables 4-8; tables 1-3 have none, ignore it and build no
     FinalConstants record.
     """
-    if table_id not in TABLE_IDS:
-        raise DomainError(f"table id must be one of {TABLE_IDS}, got {table_id}")
+    table_id = integer(table_id, "table id", TABLE_IDS[0], TABLE_IDS[-1])
     if beta0 not in ("present", "absent", "both"):
         raise DomainError(f"beta0 must be present/absent/both, got {beta0!r}")
 

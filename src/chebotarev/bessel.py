@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 # perfbench/worker.py's traced probe still imports the tail constants from here
 from .constants import ell6, ell7  # noqa: F401
-from .errors import DomainError, NumericError
-from .zeros import _bisect, _finite
+from .errors import DomainError, NumericError, finite, integer
+from .zeros import _bisect
 
 __all__ = ["bessel_K", "bessel_I", "k2_upper_bound", "BesselArgs", "RegimeThreshold"]
 
@@ -99,24 +99,18 @@ def bessel_I(n: float, m: float, alpha: float, beta: float, l: float) -> float:
         raise DomainError(f"need beta*l > 1, got beta*l = {beta * l}")
     z = 2.0 * math.sqrt(alpha * m)
     y = math.sqrt(m / alpha) * math.log(beta * l)
-    try:
-        value = 2.0 * beta**m * (alpha / m) ** (n / 2.0) * bessel_K(n, z, y)
-    except OverflowError:
-        value = math.inf
-    return _finite(value, f"I_{n},{m}({alpha}, {beta}; {l})")
+    return finite(lambda: 2.0 * beta**m * (alpha / m) ** (n / 2.0) * bessel_K(n, z, y),
+                  f"I_{n},{m}({alpha}, {beta}; {l})")
 
 
 def k2_upper_bound(z: float) -> float:
     """Rosser-Schoenfeld bound on K_2(z, w), uniform in w on [0, sqrt(1/2))."""
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    try:
-        bound = math.sqrt(math.pi / 2.0) * math.exp(-z) / math.sqrt(z) * (
-            1.0 + 15.0 / (8.0 * z) + 105.0 / (128.0 * z * z)
-        )
-    except ZeroDivisionError:  # z * z below the doubles
-        bound = math.inf
-    return _finite(bound, f"the K_2 bound at z={z}")
+    # z * z can fall below the doubles
+    return finite(lambda: math.sqrt(math.pi / 2.0) * math.exp(-z) / math.sqrt(z) * (
+        1.0 + 15.0 / (8.0 * z) + 105.0 / (128.0 * z * z)
+    ), f"the K_2 bound at z={z}")
 
 
 @dataclass(frozen=True)
@@ -136,11 +130,11 @@ class BesselArgs:
     def from_parameters(
         cls, m: int, R2_L: float, log_delta_L: float, T: float, log_x: float
     ) -> "BesselArgs":
-        if not (m > 0 and log_x > 0 and R2_L > 0 and T > 0) or math.isnan(log_delta_L):
-            raise DomainError("m, log_x, R2_L and T must be positive, log_delta_L a number")
-        z = 2.0 * math.sqrt(m * log_x / R2_L)
-        w = math.sqrt(m * R2_L / log_x) * (log_delta_L + math.log(T))
-        return cls(_finite(z, "z_m"), _finite(w, "w_m"))
+        m = integer(m, "m", 1)
+        if not (log_x > 0 and R2_L > 0 and T > 0) or math.isnan(log_delta_L):
+            raise DomainError("log_x, R2_L and T must be positive, log_delta_L a number")
+        return cls(finite(lambda: 2.0 * math.sqrt(m * log_x / R2_L), "z_m"),
+                   finite(lambda: math.sqrt(m * R2_L / log_x) * (log_delta_L + math.log(T)), "w_m"))
 
     def in_decay_regime(self, m: int) -> bool:
         return self.w_m < math.sqrt(m / (m + 1.0))
@@ -162,12 +156,12 @@ class RegimeThreshold:
     def from_parameters(
         cls, m: int, R2_L: float, log_delta_L: float, T: float, log_x: float
     ) -> "RegimeThreshold":
-        if not (T > 0 and R2_L > 0 and m >= 0 and log_x >= 0) or math.isnan(log_delta_L):
-            raise DomainError("T and R2_L must be positive, m and log_x >= 0, log_delta_L a number")
+        m = integer(m, "m", 0)
+        if not (T > 0 and R2_L > 0 and log_x >= 0) or math.isnan(log_delta_L):
+            raise DomainError("T and R2_L must be positive, log_x >= 0, log_delta_L a number")
         lg = log_delta_L + math.log(T)
-        X = (m + 1.0) * R2_L * lg * lg
-        W_log = -log_delta_L + math.sqrt(log_x / (R2_L * (m + 1.0)))
-        return cls(_finite(X, "X_LmT"), _finite(W_log, "log W"))
+        return cls(finite(lambda: (m + 1.0) * R2_L * lg * lg, "X_LmT"),
+                   finite(lambda: -log_delta_L + math.sqrt(log_x / (R2_L * (m + 1.0))), "log W"))
 
     def large_x(self, log_x: float) -> bool:
         return log_x > self.X_LmT

@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
-from .errors import DomainError
-from .invariants import MinkowskiRow, _require_degree
+from .errors import DomainError, finite, integer
+from .invariants import MinkowskiRow
 from .smoothing import m_bound
-from .zeros import ALPHA1, ALPHA2, ALPHA3, R1, R2, _finite, alpha0, alpha0_prime
+from .zeros import ALPHA1, ALPHA2, ALPHA3, R1, R2, alpha0, alpha0_prime
 
 __all__ = ["TuningConfig", "EllConstants", "alpha_coefficient", "ell_low", "ell6", "ell7",
            "compute_ells", "y0", "y0_terms"]
@@ -43,14 +43,10 @@ def alpha_coefficient(M: float, t0: float) -> float:
     log x >= alpha m n_L (log Delta_L)^2."""
     if not (M > 0 and t0 > 0):
         raise DomainError(f"M and t0 must be positive, got {M}, {t0}")
-    try:
-        alpha = max(
-            4.0 * R1 * R1 / R2 * (math.log(4.0) * M + 1.0) ** 2,
-            4.0 * R2 * (math.log(t0) * M + 1.0) ** 2,
-        )
-    except OverflowError:
-        alpha = math.inf
-    return _finite(alpha, f"alpha at M={M}, t0={t0}")
+    return finite(lambda: max(
+        4.0 * R1 * R1 / R2 * (math.log(4.0) * M + 1.0) ** 2,
+        4.0 * R2 * (math.log(t0) * M + 1.0) ** 2,
+    ), f"alpha at M={M}, t0={t0}")
 
 
 @dataclass(frozen=True)
@@ -194,15 +190,14 @@ def ell6(m: int, M: float, T0: float) -> float:
     ell6 = (M + 1/log T0)/(m pi) + 2 M alpha1/T0
            + (2 alpha1 + M (alpha1/(m+1) + 2 alpha2 + alpha3))/(T0 log T0).
     """
-    if not m >= 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    m = integer(m, "m", 1)
     if not M > 0:
         raise DomainError(f"M must be positive, got {M}")
     if not T0 > 4:
         raise DomainError(f"T0 must exceed 4, got {T0}")
     lt = math.log(T0)
-    return _finite(
-        (M + 1.0 / lt) / (m * math.pi)
+    return finite(
+        lambda: (M + 1.0 / lt) / (m * math.pi)
         + 2.0 * M * ALPHA1 / T0
         + (2.0 * ALPHA1 + M * (ALPHA1 / (m + 1.0) + 2.0 * ALPHA2 + ALPHA3)) / (lt * T0),
         f"ell6 at m={m}, M={M}, T0={T0}",
@@ -220,17 +215,17 @@ def ell7(m: int, M: float, R2: float, T0: float, omega0: float, x0_log: float, n
     margin ((2m+1)/sqrt(m+1) - 2 sqrt(m)) sqrt((m+1)(1/M + log T0))), and
     the Rosser-Schoenfeld remainder of the K_2 integral.
     """
-    if not m >= 1:
-        raise DomainError(f"m must be >= 1, got {m}")
+    m = integer(m, "m", 1)
     if not (M > 0 and R2 > 0 and omega0 > 0):
         raise DomainError(f"M, R2 and omega0 must be positive, got {M}, {R2}, {omega0}")
     if not T0 > 4:
         raise DomainError(f"T0 must exceed 4, got {T0}")
     if not x0_log > 0:
         raise DomainError(f"x0_log must be positive, got {x0_log}")
-    _require_degree(n0)
+    n0 = integer(n0, "n0", 2)
     lt = math.log(T0)
-    try:
+
+    def l7() -> float:
         margin = ((2 * m + 1) / math.sqrt(m + 1.0) - 2.0 * math.sqrt(m)) * math.sqrt(
             (m + 1.0) * (1.0 / M + lt)
         )
@@ -241,10 +236,10 @@ def ell7(m: int, M: float, R2: float, T0: float, omega0: float, x0_log: float, n
             + 15.0 / (16.0 * math.sqrt(m * (m + 1.0)) * (1.0 / M + lt))
             + 105.0 / (512.0 * m * (m + 1.0) * (1.0 / M + lt) ** 2)
         )
-        l7 = first + second
-    except OverflowError:  # a power past the doubles, such as (1/M + log T0)^2
-        l7 = math.inf
-    return _finite(l7, f"ell7 at m={m}, M={M}, R2={R2}, omega0={omega0}")
+        return first + second
+
+    # a power can leave the doubles, such as (1/M + log T0)^2
+    return finite(l7, f"ell7 at m={m}, M={M}, R2={R2}, omega0={omega0}")
 
 
 def compute_ells(cfg: TuningConfig) -> EllConstants:

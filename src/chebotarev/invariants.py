@@ -19,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, finite, integer
 from .reference_values import TABLE3_MINKOWSKI
 
 __all__ = [
@@ -61,13 +61,6 @@ _ROW_BY_N0 = {row.n0: row for row in MINKOWSKI_TABLE}
 _MAX_DEGREE = sys.float_info.max / math.log(10)
 
 
-def _require_degree(n: int) -> None:
-    """The one rule for a degree: an integer >= 2, integral floats such as
-    2.0 included, whose top-row log d0 = n log 10 is finite."""
-    if not (2 <= n <= _MAX_DEGREE and n % 1 == 0):
-        raise DomainError(f"degree must be an integer from 2 to {_MAX_DEGREE:.4g}, got {n}")
-
-
 def minkowski_lookup(n_L: int) -> MinkowskiRow:
     """Return the table row with the largest n_0 <= n_L.
 
@@ -75,7 +68,7 @@ def minkowski_lookup(n_L: int) -> MinkowskiRow:
     d_0 = 10^(n_L), i.e. log d_0 = n_L * log(10), with the same coefficient
     M = 1/log(10).
     """
-    _require_degree(n_L)
+    n_L = integer(n_L, "degree", 2, _MAX_DEGREE)
     if n_L >= _TOP_N0:
         return MinkowskiRow(_TOP_N0, n_L * math.log(10), _ROW_BY_N0[_TOP_N0].M)
     return _ROW_BY_N0[n_L]
@@ -95,7 +88,7 @@ class FieldParams:
     log_dL: float
 
     def __post_init__(self) -> None:
-        _require_degree(self.n_L)
+        object.__setattr__(self, "n_L", integer(self.n_L, "degree", 2, _MAX_DEGREE))
         if not math.isfinite(self.log_dL):
             raise DomainError(f"log d_L must be finite, got {self.log_dL}")
         if self.log_dL < math.log(3) - 1e-12:
@@ -136,8 +129,7 @@ def lambda_L(field: FieldParams, m: int) -> float:
     This multiplies the exponentially decaying error term; m is the
     smoothing order.  Monotone non-decreasing in n_L, log d_L and m.
     """
-    if not m >= 1:
-        raise DomainError(f"smoothing order m must be >= 1, got {m}")
+    m = integer(m, "smoothing order m", 1)
     ld = field.log_delta_L
     n = field.n_L
     return max(ld * ld * n * n, ld * math.exp(m * ld) * math.sqrt(n))
@@ -149,13 +141,8 @@ def lambda_0(n0: int, M: float) -> float:
     Obtained from lambda_L by replacing log Delta_L with its row minimum
     1/M; any field on the row (n_0, d_0, M) satisfies lambda_L >= lambda_0.
     """
-    _require_degree(n0)
+    n0 = integer(n0, "degree", 2, _MAX_DEGREE)
     if not 0 < M < math.inf:
         raise DomainError(f"M must be positive and finite, got {M}")
-    try:
-        lam = max(n0 * n0 / (M * M), math.sqrt(n0) * math.exp(1.0 / M) / M)
-    except (OverflowError, ZeroDivisionError):  # e^(1/M) or 1/M^2 past the doubles
-        lam = math.inf
-    if lam == math.inf:
-        raise DomainError(f"lambda_0 overflows double precision at n0={n0}, M={M}")
-    return lam
+    return finite(lambda: max(n0 * n0 / (M * M), math.sqrt(n0) * math.exp(1.0 / M) / M),
+                  f"lambda_0 at n0={n0}, M={M}")

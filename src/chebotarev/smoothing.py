@@ -29,7 +29,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericError, PoleError
+from .errors import DomainError, NumericError, PoleError, finite, integer
 
 __all__ = ["Endpoint", "SmoothingParams", "weight_g", "weight_h", "mellin_H", "m_bound"]
 
@@ -69,9 +69,7 @@ class SmoothingParams:
             raise DomainError(f"endpoint must be an Endpoint, got {self.endpoint!r}")
         if not 0 < self.delta < 1:
             raise DomainError(f"delta must lie in (0,1), got {self.delta}")
-        if not (1 <= self.m <= _MAX_ORDER and self.m % 1 == 0):
-            raise DomainError(f"the Rosser ramp needs an integer m in 1..{_MAX_ORDER}, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", integer(self.m, "the Rosser ramp's m", 1, _MAX_ORDER))
 
     @property
     def alpha(self) -> float:
@@ -168,14 +166,8 @@ def m_bound(delta: float, m: int) -> float:
     """
     if not 0 < delta < 1:
         raise DomainError(f"delta must lie in (0,1), got {delta}")
-    if not m >= 0:
-        raise DomainError(f"m must be >= 0, got {m}")
+    m = integer(m, "m", 0)
     if m == 0:
         return 1.0 + delta / 2.0
-    try:
-        bound = (m * ((1.0 + delta / m) ** (m + 1) + 1.0)) ** m
-    except OverflowError:
-        bound = math.inf
-    if bound == math.inf:
-        raise DomainError(f"M(delta, m) overflows double precision at delta={delta}, m={m}")
-    return bound
+    return finite(lambda: (m * ((1.0 + delta / m) ** (m + 1) + 1.0)) ** m,
+                  f"M(delta, m) at delta={delta}, m={m}")

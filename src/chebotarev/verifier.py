@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError, ResourceError, integer
 
 __all__ = [
     "DEFAULT_SIEVE_LIMIT",
@@ -94,17 +94,6 @@ _UNIT = 2**53  # log sums run on integers in units of 2^-53
 class ConjugacyClass(enum.Enum):
     IDENTITY = "identity"
     NONTRIVIAL = "nontrivial"
-
-
-def _whole(n: object, what: str) -> int:
-    """n as an int: an int, a numpy integer or an integral float such as
-    1e6.  Anything else (10.5, a NaN, an infinity, '5') is a DomainError."""
-    if isinstance(n, float) and n.is_integer():
-        return int(n)
-    try:
-        return operator.index(n)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {n!r}") from None
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -169,7 +158,7 @@ def is_prime(n: int) -> bool:
     there it raises DomainError, as it does for n neither an integer nor
     an integral float.
     """
-    n = _whole(n, "n")
+    n = integer(n, "n")
     if n < 2:
         return False
     if n >= _MR_PSI[-1]:
@@ -200,7 +189,7 @@ def kronecker(D: int, p: int) -> int:
     integral float."""
     if not is_fundamental_discriminant(D):
         raise DomainError(f"{D} is not a fundamental discriminant")
-    p = _whole(p, "p")
+    p = integer(p, "p")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     return kronecker_symbol(D, p)
@@ -406,8 +395,13 @@ def _segments(stops: list[int]) -> Iterator[tuple[int, np.ndarray]]:
 
 def primes_up_to(n: int) -> np.ndarray:
     """All primes <= n, ascending, via a segmented sieve of Eratosthenes.
-    n is an integer; an integral float such as 1e6 counts as one."""
-    n = _whole(n, "n")
+    n is an integer; an integral float such as 1e6 counts as one.  The
+    whole list is held at once, about 400 MB at DEFAULT_SIEVE_LIMIT, so an
+    n above that cap is a ResourceError before anything is sieved."""
+    n = integer(n, "n")
+    if n > DEFAULT_SIEVE_LIMIT:
+        raise ResourceError(f"primes_up_to({n}) would hold every prime up to it; "
+                            f"the cap is {DEFAULT_SIEVE_LIMIT}")
     chunks = [primes for _, primes in _segments([n])] if n > 1 else []
     return np.concatenate([np.empty(0, dtype=np.int64), *chunks])
 
@@ -444,7 +438,7 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
             raise DomainError(f"x must be finite and >= 1, got {x}")
     if not xs:
         return []
-    lim = DEFAULT_SIEVE_LIMIT if limit is None else _whole(limit, "the sieve limit")
+    lim = DEFAULT_SIEVE_LIMIT if limit is None else integer(limit, "the sieve limit")
     if not 1 <= lim <= MAX_SIEVE_LIMIT:
         raise DomainError(f"the sieve limit must be a positive integer at most "
                           f"{MAX_SIEVE_LIMIT} (2^46), got {lim}")

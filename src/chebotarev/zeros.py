@@ -37,7 +37,7 @@ import math
 from bisect import bisect_left
 from functools import lru_cache
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, finite
 from .invariants import FieldParams, MinkowskiRow
 
 __all__ = [
@@ -84,8 +84,8 @@ def c123(a: float, eps: float, T: float) -> tuple[float, float, float]:
         c2 = c1 log(2 + eps + |T|) + 2 c1 (1/eps + 539/268),
         c3 = 2 c1 ((1+eps)/sqrt((1+eps)^2+T^2) + eps/sqrt(eps^2+T^2)).
     """
-    if not (a > 0 and 0 < eps < math.inf and math.isfinite(T)):
-        raise DomainError(f"need a > 0, finite eps > 0 and finite T, got a={a}, eps={eps}, T={T}")
+    if not (0 < a < math.inf and 0 < eps < math.inf and math.isfinite(T)):
+        raise DomainError(f"need finite a > 0, eps > 0 and T, got a={a}, eps={eps}, T={T}")
     one = 1.0 + eps
     c1 = (one * one + a * a) / (2.0 * eps)
     c2 = c1 * math.log(2.0 + eps + abs(T)) + 2.0 * c1 * (1.0 / eps + 539.0 / 268.0)
@@ -162,16 +162,9 @@ def _alpha0_cached(T: float, M: float, log_d0: float) -> float:
 
 def alpha0(T: float, row: MinkowskiRow) -> float:
     """min over eps > 0 of B(T, eps):  N_L(T) <= alpha0(T) log d_L."""
-    if not T > 0:
-        raise DomainError(f"T must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise DomainError(f"T must be positive and finite, got {T}")
     return _alpha0_cached(float(T), row.M, row.log_d0)
-
-
-def _finite(value: float, what: str) -> float:
-    """value, if finite: an input whose answer overflows is a DomainError."""
-    if not math.isfinite(value):
-        raise DomainError(f"{what} is not finite (got {value})")
-    return value
 
 
 def alpha0_prime(T: float, row: MinkowskiRow) -> float:
@@ -182,8 +175,8 @@ def alpha0_prime(T: float, row: MinkowskiRow) -> float:
     """
     if not T >= 1:
         raise DomainError(f"T must be >= 1, got {T}")
-    return _finite(
-        T / math.pi
+    return finite(
+        lambda: T / math.pi
         + ALPHA1
         + row.M
         * ((T / math.pi) * math.log(T / (2 * math.pi * math.e)) + ALPHA1 * math.log(T) + ALPHA2)
@@ -221,7 +214,7 @@ def P_E_L(T: float, field: FieldParams) -> tuple[float, float]:
         raise DomainError(f"T must be >= 1, got {T}")
     P = (T / math.pi) * (field.log_dL + field.n_L * math.log(T / (2 * math.pi * math.e)))
     E = ALPHA1 * (field.log_dL + field.n_L * math.log(T)) + ALPHA2 * field.n_L + ALPHA3
-    return _finite(P, f"P_L at T={T}"), _finite(E, f"E_L at T={T}")
+    return finite(lambda: P, f"P_L at T={T}"), finite(lambda: E, f"E_L at T={T}")
 
 
 def Q_kernel(u: float, t: float, field: FieldParams) -> float:
@@ -235,8 +228,8 @@ def Q_kernel(u: float, t: float, field: FieldParams) -> float:
     n = field.n_L
     ld = field.log_delta_L
     l2pe = math.log(2 * math.pi * math.e)
-    return _finite(
-        (n * u / math.pi) * (ld + math.log(u) - l2pe)
+    return finite(
+        lambda: (n * u / math.pi) * (ld + math.log(u) - l2pe)
         - (n * t / math.pi) * (ld + math.log(t) - l2pe)
         + 2 * ALPHA1 * n * (ld + 0.5 * math.log(u * t))
         + 2 * ALPHA2 * n
@@ -250,8 +243,8 @@ def Q_kernel_partial_u(u: float, field: FieldParams) -> float:
     if not u > 0:
         raise DomainError(f"u must be positive, got {u}")
     n = field.n_L
-    return _finite((n / math.pi) * (field.log_delta_L + math.log(u) - math.log(2 * math.pi))
-                   + ALPHA1 * n / u, f"dQ/du at u={u}")
+    return finite(lambda: (n / math.pi) * (field.log_delta_L + math.log(u) - math.log(2 * math.pi))
+                  + ALPHA1 * n / u, f"dQ/du at u={u}")
 
 
 def solve_omega0(t0: float) -> float:

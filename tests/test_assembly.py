@@ -279,6 +279,13 @@ class TestBoundEval:
         )
         assert abs(rep.epsilon - expected) / expected < 1e-3
 
+    def test_beta0_flag_is_stored_as_a_bool(self):
+        # 1 and np.True_ equal True, and hit its cached record
+        for flag in (1, np.True_):
+            assert standard_config(2, flag).beta0_present is True
+            assert bound_eval(FieldParams(2, 5.0), 1e5, flag, BoundForm.EXP).beta0_present is True
+        assert standard_config(2, 0).beta0_present is False
+
     def test_exceptional_term_flagging(self):
         field = FieldParams.from_discriminant(2, 3.0)
         with_zero = bound_eval(field, 4000.0, True, BoundForm.EXP)

@@ -164,6 +164,11 @@ class TestBoundCommand:
         assert code == 0
         assert json.loads(out)["refined_branch"] is False
 
+    def test_degree_below_two_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "bound", "--nL", "1", "--dL", "5", "--logx", "1e5")
+        assert (code, out) == (2, "")
+        assert err == "error: degree must be an integer from 2 to 7.807e+307, got 1\n"
+
     @pytest.mark.parametrize("argv", [
         ["--dL", "5", "--logx", "inf"],
         ["--dL", "5", "--logx", "nan"],

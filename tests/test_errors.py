@@ -1,12 +1,19 @@
 """Bad library arguments raise DomainError: no NaN, no silent finite answer,
-no ValueError, ZeroDivisionError, NumericError or KeyError from inside."""
+no ValueError, ZeroDivisionError, NumericError or KeyError from inside.
 
+errors holds the two rules most of these checks go through: `integer`
+(what an integer argument is: never a bool, never 1.5, and stored as a
+Python int) and `finite` (an answer that left the doubles)."""
+
+import json
 import math
 
+import numpy as np
 import pytest
 
 from chebotarev import (
     BesselArgs,
+    BoundForm,
     DomainError,
     FieldParams,
     P_E_L,
@@ -15,6 +22,7 @@ from chebotarev import (
     Q_kernel_partial_u,
     RegimeThreshold,
     SmoothingParams,
+    alpha0,
     alpha0_prime,
     bound_eval,
     bessel_I,
@@ -24,6 +32,7 @@ from chebotarev import (
     ell6,
     ell7,
     final_constants,
+    generate_table,
     k2_upper_bound,
     kronecker,
     lambda_0,
@@ -39,6 +48,7 @@ from chebotarev import (
     weight_h,
 )
 from chebotarev.constants import alpha_coefficient
+from chebotarev.errors import finite, integer
 from chebotarev.smoothing import _MAX_ORDER
 from chebotarev.verifier import is_prime, primes_up_to, psi_pair
 
@@ -149,6 +159,24 @@ def _cases():
     yield "is_prime-2.5", is_prime, (2.5,)
     yield "is_prime-nan", is_prime, (nan,)
     yield "kronecker-2.5", kronecker, (5, 2.5)
+    # an order that is not an integer, or is a bool, which used to be accepted
+    for m in (1.5, True):
+        yield f"ell6-m-{m}", ell6, (m, 1.82, 40.0)
+        yield f"ell7-m-{m}", ell7, {**ELL7, "m": m}
+        yield f"lambda_L-m-{m}", lambda_L, (FIELD, m)
+        yield f"m_bound-m-{m}", m_bound, (0.5, m)
+        yield f"BesselArgs-m-{m}", BesselArgs.from_parameters, {**REGIME, "m": m}
+        yield f"RegimeThreshold-m-{m}", RegimeThreshold.from_parameters, {**REGIME, "m": m}
+    yield "SmoothingParams-True", SmoothingParams, (True, 0.5)
+    # were OverflowError from int-to-float conversion
+    yield "BesselArgs-m-10**400", BesselArgs.from_parameters, {**REGIME, "m": 10**400}
+    yield "RegimeThreshold-m-10**400", RegimeThreshold.from_parameters, {**REGIME, "m": 10**400}
+    for k in (0.5, True):
+        yield f"final_constants-k-{k}", final_constants, (standard_config(2, True), k)
+    yield "generate_table-True", generate_table, (True,)
+    # non-finite heights: alpha0 raised NumericError, c123 gave (inf, inf, inf)
+    yield "alpha0-inf", alpha0, (inf, ROW)
+    yield "c123-a-inf", c123, (inf, 1.0, 0.0)
 
 
 CASES = list(_cases())
@@ -158,3 +186,38 @@ CASES = list(_cases())
 def test_bad_argument_is_domain_error(call, args):
     with pytest.raises(DomainError):
         call(**args) if isinstance(args, dict) else call(*args)
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.uint8(3), 3.0])
+def test_integer_is_a_python_int(n):
+    assert type(integer(n, "n")) is int and integer(n, "n") == 3
+
+
+@pytest.mark.parametrize("n", [True, False, np.True_, 2.5, nan, inf, "5", None])
+def test_integer_rejects(n):
+    with pytest.raises(DomainError, match="^n must be an integer, got "):
+        integer(n, "n")
+
+
+def test_integer_bounds():
+    assert integer(1e6, "n", 2, 10**6) == 10**6
+    for n in (1, 10**6 + 1, 10**400):
+        with pytest.raises(DomainError, match="^degree must be an integer from 2 to 1e[+]06, got "):
+            integer(n, "degree", 2, 10**6)
+
+
+@pytest.mark.parametrize("compute", [lambda: 10.0**400, lambda: 1.0 / 0.0, lambda: inf,
+                                     lambda: nan], ids=["overflow", "zero-division", "inf", "nan"])
+def test_finite_names_what_left_the_doubles(compute):
+    assert finite(lambda: 1.5, "x") == 1.5
+    with pytest.raises(DomainError, match="^the answer is not finite"):
+        finite(compute, "the answer")
+
+
+def test_integer_arguments_are_stored_as_python_ints():
+    for n in (np.int64(3), 3.0):
+        field = FieldParams(n, 10.0)
+        assert type(field.n_L) is int
+        json.dumps(bound_eval(field, 1e5, True, BoundForm.EXP).n_L)  # rejected np.int64
+    table = generate_table(4.0)
+    assert type(table.table_id) is int and table.table_id == 4

@@ -306,6 +306,16 @@ class TestPrimeInfrastructure:
         field = QuadraticField(5)
         assert psi_pair(field, 1e3, limit=2000.0) == psi_pair(field, 1e3, limit=2000)
 
+    def test_primes_up_to_is_capped(self, monkeypatch):
+        # the whole list is held at once: 10^11 would take about 33 GB
+        def sieve(stops):
+            raise AssertionError(f"sieved up to {stops}")
+
+        monkeypatch.setattr(verifier, "_segments", sieve)
+        for n in (verifier.DEFAULT_SIEVE_LIMIT + 1, 1e11):
+            with pytest.raises(ResourceError):
+                primes_up_to(n)
+
     def test_segmented_consistency(self, monkeypatch):
         # crossing a segment boundary changes nothing; grid points cut
         # segments narrower than some base primes (the range (24, 25]); the
