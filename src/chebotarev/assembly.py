@@ -398,10 +398,11 @@ def bound_eval(
         raise DomainError(f"log x must be positive and finite, got {log_x}")
     if not isinstance(form, BoundForm):
         raise DomainError(f"form must be a BoundForm, got {form!r}")
+    f = _finals_cached(min(field.n_L, _TOP_N0), beta0_present)
     try:
-        report = _bound_report(field, log_x, beta0_present, form)
+        report = _bound_report(field, log_x, f, form)
         finite = math.isfinite(report.threshold) and math.isfinite(report.epsilon or 0.0)
-    except OverflowError:
+    except (OverflowError, DomainError):  # lambda_L's DomainError is an overflow too
         finite = False
     if not finite:
         raise DomainError(
@@ -423,11 +424,13 @@ def _decayed(coeff: float, exponent: float) -> float:
 
 
 def _bound_report(
-    field: FieldParams, log_x: float, beta0_present: bool, form: BoundForm
+    field: FieldParams, log_x: float, f: FinalConstants, form: BoundForm
 ) -> BoundReport:
-    # epsilon = coeff e^(-rate), with rate 0 in the log form; computed early,
-    # the coefficient raises on no input whose threshold computes
-    f = _finals_cached(min(field.n_L, _TOP_N0), beta0_present)
+    # epsilon = coeff e^(-rate), with rate 0 in the log form.  The coefficient
+    # is computed before log x is compared with the threshold, so exp and log
+    # refuse every log x once m log Delta_L exceeds 709.78, where lambda_L
+    # leaves the doubles, even a log x below a finite threshold; the
+    # classical forms read no lambda_L and answer applicable False there
     beta0_present = f.cfg.beta0_present  # a bool, where 1 or np.True_ may have been passed
     n = field.n_L
     refined = n <= f.N0

@@ -127,12 +127,14 @@ def lambda_L(field: FieldParams, m: int) -> float:
     """Field-size factor max((log Delta)^2 n^2, (log Delta) Delta^m sqrt(n)).
 
     This multiplies the exponentially decaying error term; m is the
-    smoothing order.  Monotone non-decreasing in n_L, log d_L and m.
+    smoothing order.  Monotone non-decreasing in n_L, log d_L and m.  Once
+    m log Delta exceeds 709.78 it leaves the doubles: a DomainError.
     """
     m = integer(m, "smoothing order m", 1)
     ld = field.log_delta_L
     n = field.n_L
-    return max(ld * ld * n * n, ld * math.exp(m * ld) * math.sqrt(n))
+    return finite(lambda: max(ld * ld * n * n, ld * math.exp(m * ld) * math.sqrt(n)),
+                  f"lambda_L at n_L={n}, log Delta_L={ld}, m={m}")
 
 
 def lambda_0(n0: int, M: float) -> float:

@@ -187,8 +187,7 @@ def kronecker(D: int, p: int) -> int:
     """Artin symbol of the prime p in Q(sqrt(D))/Q, as the Kronecker
     symbol (D/p): 0 ramified, +1 split, -1 inert.  p is an integer or an
     integral float."""
-    if not is_fundamental_discriminant(D):
-        raise DomainError(f"{D} is not a fundamental discriminant")
+    D = QuadraticField(D).D
     p = integer(p, "p")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
@@ -231,7 +230,11 @@ class EquidistRow:
     ec_nontrivial: float
     # sum of log p over all p^m <= x with p not dividing D, counted without
     # the character, so psi_identity + psi_nontrivial falls short of it
-    # whenever the character misclassifies an unramified prime as ramified
+    # whenever the character misclassifies an unramified prime as ramified:
+    # the CLI's partition_check, their difference, is float rounding when
+    # the character is right.  test_verifier.py's
+    # test_partition_against_chebyshev_psi checks this total against the
+    # Chebyshev psi from trial division
     unramified_total: float
 
 
@@ -418,9 +421,10 @@ def _chi_moments(half: np.ndarray, chi: np.ndarray) -> list[int]:
     return sums
 
 
-def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, float, float]]:
-    """(psi_identity, psi_nontrivial, unramified_total) at each x of xs, in
-    the order given, from one ascending pass of the segmented sieve.
+def _sweep(D: int, xs: list[float], limit: int | None) -> list[EquidistRow]:
+    """One EquidistRow for each x of xs, in the order given, from one
+    ascending pass of the segmented sieve.  This is the one place a row is
+    built and E_C(x) = |psi_C(x) - x/2| / (x/2) computed.
 
     limit caps every x; None means DEFAULT_SIEVE_LIMIT.  This is the one
     place the cap is resolved and range-checked: a limit that is not an
@@ -491,16 +495,20 @@ def _sweep(D: int, xs: list[float], limit: int | None) -> list[tuple[float, floa
 
     for prev, slot in zip(ledger, ledger[1:]):  # prefix sums, in place
         slot[:] = [a + b for a, b in zip(prev, slot)]
-    rows = [(ident / _UNIT + h_ident / _UNIT, nontriv / _UNIT + h_nontriv / _UNIT,
-             total / _UNIT + (h_ident + h_nontriv + h_zero) / _UNIT)
-            for ident, nontriv, total, h_ident, h_nontriv, h_zero in ledger]
-    return [rows[bisect_left(stops, math.floor(x))] for x in xs]
+
+    def row(x, ident, nontriv, total, h_ident, h_nontriv, h_zero) -> EquidistRow:
+        psi = (ident / _UNIT + h_ident / _UNIT, nontriv / _UNIT + h_nontriv / _UNIT)
+        ec = (abs(v - x / 2.0) / (x / 2.0) for v in psi)  # E_C(x), identity then nontrivial
+        return EquidistRow(x, *psi, *ec, total / _UNIT + (h_ident + h_nontriv + h_zero) / _UNIT)
+
+    return [row(x, *ledger[bisect_left(stops, math.floor(x))]) for x in xs]
 
 
 def psi_pair(field: QuadraticField, x: float, limit: int | None = None) -> tuple[float, float]:
     """(psi_identity(x), psi_nontrivial(x)), each the exactly rounded
     first-power log sum plus the exactly rounded higher-power log sum."""
-    return _sweep(field.D, [x], limit)[0][:2]
+    (row,) = _sweep(field.D, [x], limit)
+    return row.psi_identity, row.psi_nontrivial
 
 
 def psi_C_exact(
@@ -511,33 +519,17 @@ def psi_C_exact(
     a ConjugacyClass, such as its string value, raises DomainError."""
     if not isinstance(cls, ConjugacyClass):
         raise DomainError(f"cls must be a ConjugacyClass, got {cls!r}")
-    ident, nontriv = psi_pair(field, x, limit)
-    psi = ident if cls is ConjugacyClass.IDENTITY else nontriv
-    half = x / 2.0
-    return ClassCount(cls=cls, x=x, psi=psi, ec=abs(psi - half) / half)
+    (row,) = _sweep(field.D, [x], limit)
+    if cls is ConjugacyClass.IDENTITY:
+        return ClassCount(cls=cls, x=x, psi=row.psi_identity, ec=row.ec_identity)
+    return ClassCount(cls=cls, x=x, psi=row.psi_nontrivial, ec=row.ec_nontrivial)
 
 
 def equidist_report(
     field: QuadraticField, x_grid: Iterable[float], limit: int | None = None
 ) -> list[EquidistRow]:
-    """Evaluate both classes on a grid of x values.
-
-    unramified_total is sum(log p) over all unramified prime powers.  The
-    sweep counts it without the character: every prime once, less those
-    dividing D, and every higher power of a prime not dividing D.  So
-    psi_identity + psi_nontrivial - unramified_total, the CLI's
-    partition_check, is float rounding when the character is right and
-    grows by log p for each unramified p^m the character drops.
-    tests/test_verifier.py::TestEquidistReport::test_partition_against_chebyshev_psi
-    checks unramified_total itself against the Chebyshev psi from trial
-    division.  x_grid is any iterable of x (a list, a tuple, an array or a
-    generator), read once.
+    """Evaluate both classes on a grid of x values: one row per x, in the
+    grid's order.  x_grid is any iterable of x (a list, a tuple, an array
+    or a generator), read once.
     """
-    xs = list(x_grid)
-    return [
-        EquidistRow(x=x, psi_identity=ident, psi_nontrivial=nontriv,
-                    ec_identity=abs(ident - x / 2.0) / (x / 2.0),
-                    ec_nontrivial=abs(nontriv - x / 2.0) / (x / 2.0),
-                    unramified_total=total)
-        for x, (ident, nontriv, total) in zip(xs, _sweep(field.D, xs, limit))
-    ]
+    return _sweep(field.D, list(x_grid), limit)

@@ -418,6 +418,24 @@ class TestBoundEval:
             with pytest.raises(DomainError, match="overflows double precision"):
                 bound_eval(field, 1e10, False, form)
 
+    @pytest.mark.parametrize("form", list(BoundForm))
+    def test_forms_past_exp_overflow_below_threshold(self, form):
+        # log x = 1e9 is below the finite threshold 3.28e9 of every form:
+        # the classical forms answer inapplicable, but exp and log compute
+        # lambda_L before they compare, and refuse
+        field = FieldParams(2, 1500.0)
+        if form in (BoundForm.EXP, BoundForm.LOG):
+            with pytest.raises(DomainError, match="overflows double precision"):
+                bound_eval(field, 1e9, False, form)
+        else:
+            rep = bound_eval(field, 1e9, False, form)
+            assert 1e9 < rep.threshold < math.inf
+            assert not rep.applicable and rep.epsilon is None
+
+    def test_bad_beta0_flag_is_named_not_an_overflow(self):
+        with pytest.raises(DomainError, match="^beta0_present must be True or False"):
+            bound_eval(FieldParams(2, 1500.0), 1e10, "yes", BoundForm.EXP)
+
     @pytest.mark.parametrize("form, field, log_x", [
         (BoundForm.EXP, FieldParams.from_discriminant(2, 5.0), 1e9),
         (BoundForm.CLASSICAL_NL, FieldParams.from_discriminant(2, 5.0), 1e9),

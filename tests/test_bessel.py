@@ -131,6 +131,7 @@ class TestBesselK:
             start = time.perf_counter()
             assert bessel_K(*args) == 0.0
             assert time.perf_counter() - start < 1.0, args
+        assert bessel_K(2.0, 2.0, math.inf) == 0.0  # an empty range
 
     def test_overflow_is_numeric_error(self):
         with pytest.raises(NumericError):

@@ -121,6 +121,9 @@ def _cases():
     yield "SmoothingParams-1.5", SmoothingParams, (1.5, 0.5)  # was TypeError in weight_h
     yield "SmoothingParams-cap+1", SmoothingParams, (_MAX_ORDER + 1, 0.5)  # weight off [0, 1]
     yield "SmoothingParams-200", SmoothingParams, (200, 0.5)  # was OverflowError in weight_h
+    for delta in (0.0, 1.0, nan):
+        yield f"SmoothingParams-delta-{delta}", SmoothingParams, (1, delta)
+    yield "bessel_I-l-0", bessel_I, (2, 1, 1.0, 1.0, 0.0)
     for form in ("exp", "log", "classical-abs", "classical-nl"):
         # was the log form's epsilon under the given label
         yield f"bound_eval-{form}", bound_eval, (FieldParams(3, 10.0), 1e5, True, form)
@@ -151,6 +154,7 @@ def _cases():
     yield "ell6-M-inf", ell6, (1, inf, 40.0)  # was inf
     yield "ell7-omega0-inf", ell7, {**ELL7, "omega0": inf}  # was inf
     yield "bessel_I-alpha-inf", bessel_I, (2.0, 1.0, inf, 2.0, 2.0)  # was nan
+    yield "lambda_L-overflow", lambda_L, (FieldParams(2, 1500.0), 1)  # was OverflowError
     # were w_m = inf and X_LmT = inf
     yield "BesselArgs-log_delta_L-inf", BesselArgs.from_parameters, {**REGIME, "log_delta_L": inf}
     yield ("RegimeThreshold-log_delta_L-1e300", RegimeThreshold.from_parameters,

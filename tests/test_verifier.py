@@ -202,8 +202,16 @@ class TestKronecker:
         assert kronecker(-4, 2) == 0
 
     def test_rejects_non_fundamental(self):
-        with pytest.raises(DomainError):
-            kronecker(9, 5)
+        # one rule and one message for D, QuadraticField's
+        for D in (9, np.int64(9)):
+            with pytest.raises(DomainError, match="^9 is not a fundamental discriminant [(]need"):
+                kronecker(D, 5)
+
+    def test_numpy_integer_D(self):
+        # D reaches the symbol as a Python int: numpy's int32 arithmetic
+        # raised OverflowError on the prime 2^31 + 11
+        assert kronecker(np.int8(-4), 5) == 1
+        assert kronecker(np.int32(5), 2**31 + 11) == kronecker(5, 2**31 + 11) == 1
 
     def test_rejects_composite_p(self):
         with pytest.raises(DomainError):
@@ -454,6 +462,7 @@ class TestPrimeInfrastructure:
         primes = set(trial_primes(2000))
         for n in range(2, 2000):
             assert is_prime(n) == (n in primes)
+        assert not any(is_prime(n) for n in (1, 0, -7))
         assert is_prime(2**31 - 1)
         assert not is_prime(2**31)
         assert is_prime(verifier.MAX_SIEVE_LIMIT - 21)  # the largest prime below the sieve cap
@@ -535,6 +544,19 @@ class TestEquidistReport:
         want = equidist_report(field, grid)
         for xs in (np.array(grid), tuple(grid), (x for x in grid)):
             assert equidist_report(field, xs) == want
+
+    def test_read_outs_are_the_rows(self):
+        # psi_pair and psi_C_exact give their row's psi and E_C bit for bit,
+        # an unsorted grid with a repeated x included
+        field = QuadraticField(-7)
+        grid = [1e4, 20.0, 999.5, 20.0, 1.0]
+        for r in equidist_report(field, grid):
+            assert psi_pair(field, r.x) == (r.psi_identity, r.psi_nontrivial)
+            ident = psi_C_exact(field, r.x, ConjugacyClass.IDENTITY)
+            nontriv = psi_C_exact(field, r.x, ConjugacyClass.NONTRIVIAL)
+            assert (ident.psi, ident.ec) == (r.psi_identity, r.ec_identity)
+            assert (nontriv.psi, nontriv.ec) == (r.psi_nontrivial, r.ec_nontrivial)
+            assert r.ec_identity == abs(r.psi_identity - r.x / 2) / (r.x / 2)
 
     def test_partition_against_chebyshev_psi(self):
         # independent check: full Chebyshev psi minus the p = 2 powers
