@@ -72,13 +72,12 @@ def _render_rows(columns: list[str], rows: list[list[str]], fmt: str) -> str:
 
 def _write(name: str, text: str) -> None:
     """Write text to sys.stdout or sys.stderr (name) and flush it.  A
-    closed stream or a failed write raises DomainError, so the command
-    exits 2 and never ends in a traceback.  The stream then goes to the
-    null device, where the error message and the flush at exit cannot
-    fail again."""
+    closed stream (None) or a failed write raises DomainError, so the
+    command exits 2 and never ends in a traceback.  A closed stream stays
+    closed, and a failed stream's descriptor goes to the null device, where
+    the flush at exit cannot fail again."""
     stream = getattr(sys, name)
-    if stream is None:  # started closed; later writes go to the null device
-        setattr(sys, name, open(os.devnull, "w"))
+    if stream is None:
         raise DomainError(f"cannot write to {name}: it is closed")
     try:
         if text:  # stderr writes through, and even an empty write fails on a full device
@@ -266,7 +265,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
     def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
-        if message and sys.stderr is not None:  # a closed stderr stays closed
+        if message:
             try:
                 _write("stderr", message)
             except DomainError:  # the message is lost, the status is not

@@ -61,17 +61,20 @@ __all__ = [
     "GUARD_TABLES_REL_TOL",
 ]
 
-_SCI = re.compile(r"^\s*([+-]?\d+(?:\.\d+)?)\s*[eE]\s*([+-]?\d+)\s*$")
+# a printed cell: an integer part, optional decimals, an optional exponent
+_CELL = re.compile(r"\s*([+-]?\d+)(?:\.(\d+))?(?:\s*[eE]\s*([+-]?\d+))?\s*")
 
 
 def _read(s: str) -> tuple[int, int, int, int, bool]:
     """A printed cell exactly: (n, e, the mantissa's decimal places, the
     decimal exponent, scientific?), the cell being n 10^e, so e is the
-    exponent of its last printed digit."""
-    m = _SCI.match(s)
-    mant, exp = (m.group(1), int(m.group(2))) if m else (s.strip(), 0)
-    decimals = len(mant.split(".")[1]) if "." in mant else 0
-    return int(mant.replace(".", "")), exp - decimals, decimals, exp, m is not None
+    exponent of its last printed digit.  Anything else is a DomainError."""
+    m = _CELL.fullmatch(s)
+    if m is None:
+        raise DomainError(f"not a printed decimal: {s!r}")
+    whole, decimals, exp = m.groups("")
+    e = int(exp or 0)
+    return int(whole + decimals), e - len(decimals), len(decimals), e, exp != ""
 
 
 def _ratio(n: int, e: int) -> tuple[int, int]:
@@ -94,8 +97,11 @@ def matches_printed(computed: float, printed: str, rel_tol: float | None = None)
     worked out exactly as a ratio of integers, then rounded once to the
     nearest double (int / int is correctly rounded), so the double that
     stands for an edge (40.1780 against 40.1778) lies on it, outside the
-    open band.  A NaN matches nothing.
+    open band.  A NaN matches nothing.  A rel_tol that is negative, NaN or
+    infinite is a DomainError.
     """
+    if rel_tol is not None and not 0.0 <= rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be finite and non-negative, got {rel_tol!r}")
     n, e, _, _, _ = _read(printed)
     if rel_tol is None:  # the edges are (n -+ 2) 10^e
         q, half = 1, 2

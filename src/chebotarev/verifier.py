@@ -44,7 +44,7 @@ import enum
 import functools
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -111,7 +111,9 @@ def is_fundamental_discriminant(D: int) -> bool:
 
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a/n) for arbitrary integers, by the binary
-    quadratic-reciprocity algorithm."""
+    quadratic-reciprocity algorithm.  a and n are integers or integral
+    floats, as errors.integer states."""
+    a, n = integer(a, "a"), integer(n, "n")
     if n == 0:
         return 1 if abs(a) == 1 else 0
     if a % 2 == 0 and n % 2 == 0:
@@ -139,30 +141,24 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# psi_k, the least strong pseudoprime to the first k bases (OEIS A014233):
-# below psi_k those k bases decide primality
-_MR_PSI = (
-    2_047, 1_373_653, 25_326_001, 3_215_031_751, 2_152_302_898_747,
-    3_474_749_660_383, 341_550_071_728_321, 341_550_071_728_321,
-    3_825_123_056_546_413_051, 3_825_123_056_546_413_051, 3_825_123_056_546_413_051,
-    318_665_857_834_031_151_167_461, 3_317_044_064_679_887_385_961_981,
-)
+# psi_13, the least strong pseudoprime to all 13 bases (OEIS A014233):
+# below it they decide primality
+_PSI_13 = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the fewest proven bases for n.
+    """Deterministic Miller-Rabin with all 13 bases 2..41.
 
     Exact for n < psi_13 = 3 317 044 064 679 887 385 961 981 (about
-    3.3e24), which takes all 13 bases 2..41; every n below the sieve cap
-    2^46 needs at most 7.  No base set is proven at or above psi_13, so
-    there it raises DomainError, as it does for n neither an integer nor
-    an integral float.
+    3.3e24), the least strong pseudoprime to all of them.  No base set is
+    proven at or above psi_13, so there it raises DomainError, as it does
+    for n neither an integer nor an integral float.
     """
     n = integer(n, "n")
     if n < 2:
         return False
-    if n >= _MR_PSI[-1]:
-        raise DomainError(f"{n} is too large: primality is proven only below {_MR_PSI[-1]}")
+    if n >= _PSI_13:
+        raise DomainError(f"{n} is too large: primality is proven only below {_PSI_13}")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -170,7 +166,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for base in _MR_BASES[:bisect_right(_MR_PSI, n) + 1]:
+    for base in _MR_BASES:
         x = pow(base, d, n)
         if x in (1, n - 1):
             continue

@@ -545,7 +545,16 @@ def test_closed_stderr_meets_an_unguarded_argparse(capsys, monkeypatch):
     code, out, _ = run(capsys, "tables", "--help")  # help goes the same way, to stdout
     assert (code, out.startswith("usage: chebotarev tables")) == (0, True)
     assert run(capsys, "tables", "--id", "2")[0] == 2
-    sys.stderr.close()  # the null device that took its place
+    assert sys.stderr is None  # no null device takes its place
+
+
+def test_closed_stdout_stays_closed(capsys, monkeypatch):
+    # a closed stdout is one error line and exit 2, and stays closed: no
+    # null device takes its place
+    monkeypatch.setattr(sys, "stdout", None)
+    code, _, err = run(capsys, "tables", "--id", "2")
+    assert (code, err) == (2, "error: cannot write to stdout: it is closed\n")
+    assert sys.stdout is None
 
 
 def test_full_stderr_meets_an_unguarded_argparse(capsys, monkeypatch):

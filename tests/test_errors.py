@@ -49,8 +49,9 @@ from chebotarev import (
 )
 from chebotarev.constants import alpha_coefficient
 from chebotarev.errors import finite, integer
+from chebotarev.reference_values import matches_printed, round_like
 from chebotarev.smoothing import _MAX_ORDER
-from chebotarev.verifier import is_prime, primes_up_to, psi_pair
+from chebotarev.verifier import is_prime, kronecker_symbol, primes_up_to, psi_pair
 
 nan, inf = math.nan, math.inf
 ROW = minkowski_lookup(2)
@@ -163,6 +164,17 @@ def _cases():
     yield "is_prime-2.5", is_prime, (2.5,)
     yield "is_prime-nan", is_prime, (nan,)
     yield "kronecker-2.5", kronecker, (5, 2.5)
+    # were 0, 1 and a TypeError from string formatting
+    for a in (5.5, True, "5"):
+        yield f"kronecker_symbol-{a!r}", kronecker_symbol, (a, 7)
+    # '1.2.3' read as 12.3, so it matched 12.3 and rounded 12.34 up to 12.4;
+    # the others were ValueError
+    for cell in ("1.2.3", "abc", "-", " 1.5E "):
+        yield f"matches_printed-{cell!r}", matches_printed, (12.3, cell)
+        yield f"round_like-{cell!r}", round_like, (12.34, cell, "up")
+    # were False, ValueError and OverflowError
+    for tol in (-0.1, nan, inf):
+        yield f"matches_printed-rel_tol-{tol}", matches_printed, (1.0, "1.0", tol)
     # an order that is not an integer, or is a bool, which used to be accepted
     for m in (1.5, True):
         yield f"ell6-m-{m}", ell6, (m, 1.82, 40.0)

@@ -208,10 +208,12 @@ class TestKronecker:
                 kronecker(D, 5)
 
     def test_numpy_integer_D(self):
-        # D reaches the symbol as a Python int: numpy's int32 arithmetic
-        # raised OverflowError on the prime 2^31 + 11
+        # D reaches the symbol as a Python int, and the symbol reads its
+        # own arguments as Python ints: numpy's int32 arithmetic raised
+        # OverflowError on the prime 2^31 + 11
         assert kronecker(np.int8(-4), 5) == 1
         assert kronecker(np.int32(5), 2**31 + 11) == kronecker(5, 2**31 + 11) == 1
+        assert kronecker_symbol(np.int32(5), 2**31 + 11) == 1
 
     def test_rejects_composite_p(self):
         with pytest.raises(DomainError):
